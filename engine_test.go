@@ -31,7 +31,9 @@ func sharedSpec(seed int64) JobSpec {
 // the first's recorded trace from the kernel store, beat 50% stage-cache
 // hit rate (and the first session's rate), and still produce a curve
 // bit-identical to a solo Tune with the same seed — sharing must be pure
-// speedup, never a behavior change.
+// speedup, never a behavior change. Then six sessions run at once on the
+// same engine — two workloads and a C-source kernel, warm and cold, two
+// tenants — and each must match a solo Tune on a fresh engine.
 func TestEngineCrossSessionSharing(t *testing.T) {
 	eng := NewEngine(EngineOptions{Workers: 4})
 
@@ -96,6 +98,57 @@ func TestEngineCrossSessionSharing(t *testing.T) {
 	if st.Kernels.Kernels != 1 || st.Kernels.Hits != 1 {
 		t.Fatalf("kernel store stats = %+v, want 1 kernel / 1 hit", st.Kernels)
 	}
+
+	t.Run("concurrent_sessions_match_solo", func(t *testing.T) {
+		src := workload.NewMACSio(16)
+		src.Dumps = 1
+		src.PartBytes = 64 << 10
+		var specs []JobSpec
+		for i, k := range []JobSpec{{Workload: "macsio"}, {Workload: "vpic"}, {Source: src.CSource()}} {
+			for j, tenant := range []string{"tenant-a", "tenant-b"} {
+				spec := k
+				spec.Tenant = tenant
+				spec.Nodes, spec.ProcsPerNode = 2, 8
+				spec.PopSize, spec.MaxIterations, spec.Reps = 8, 6, 1
+				spec.Seed = int64(31 + 2*i + j)
+				spec.Parallelism = 2
+				specs = append(specs, spec)
+			}
+		}
+		runs := make([]*Run, len(specs))
+		for i, spec := range specs {
+			var err error
+			if runs[i], err = eng.Tune(context.Background(), spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, run := range runs {
+			served, err := run.Wait()
+			if err != nil {
+				t.Fatalf("session %d: %v", i, err)
+			}
+			if !served.EngineInfo.TraceReady {
+				t.Fatalf("session %d: trace not ready: %s", i, served.EngineInfo.PrepareErr)
+			}
+			soloRun, err := NewEngine(EngineOptions{}).Tune(context.Background(), specs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			solo, err := soloRun.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(served.Curve, solo.Curve) {
+				t.Fatalf("session %d: concurrently served curve differs from a solo Tune", i)
+			}
+			if !reflect.DeepEqual(served.Best.Genome(), solo.Best.Genome()) || served.BestPerf != solo.BestPerf {
+				t.Fatalf("session %d: best %v (%v), solo best %v (%v)", i, served.Best.Genome(), served.BestPerf, solo.Best.Genome(), solo.BestPerf)
+			}
+		}
+		if st := eng.Stats(); st.SessionsDone != 2+int64(len(specs)) || st.Kernels.Kernels != 3 {
+			t.Fatalf("engine stats = %+v, want %d done / 3 kernels", st, 2+len(specs))
+		}
+	})
 }
 
 // Ordered progress: a subscriber that arrives after the session finished

@@ -29,7 +29,7 @@ func benchPlan(b *testing.B) (*cluster.Cluster, params.StackSettings, *WirePlan)
 	if err != nil {
 		b.Fatal(err)
 	}
-	wp, err := NewStageCache(trace).WireFor(params.DefaultAssignment(params.Space()), s, c.ProcsPerNode)
+	wp, err := Lower(trace, s, c.ProcsPerNode)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func budgetHarness(t *testing.T) (*WirePlan, func() *workload.Stack) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wp, err := NewStageCache(trace).WireFor(a, a.Settings(), c.ProcsPerNode)
+	wp, err := Lower(trace, a.Settings(), c.ProcsPerNode)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,9 @@ package replay
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
+	"tunio/internal/cowmap"
 	"tunio/internal/hdf5"
 	"tunio/internal/params"
 )
@@ -12,64 +12,6 @@ import (
 // wireFootprint is the union of the plan and aggregate footprints: the
 // parameters a wire plan depends on.
 var wireFootprint = append(append([]string{}, params.PlanStage...), params.AggregateStage...)
-
-// stageShardCount is the number of lock stripes per artifact kind. A
-// power of two so shardOf can mask instead of mod; 32 stripes keep the
-// probability of two concurrent cold builds colliding on a stripe low
-// even at high session counts, while costing only a few hundred bytes.
-const stageShardCount = 32
-
-// shardOf hashes a cache key onto a stripe (FNV-1a, masked).
-func shardOf(key []byte) uint32 {
-	h := uint32(2166136261)
-	for _, b := range key {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	return h & (stageShardCount - 1)
-}
-
-// cacheShard is one lock stripe of a sharded artifact map. Readers load
-// the published map pointer and look up without any lock; writers take
-// the stripe mutex, clone, insert, and republish (copy-on-write). Hit
-// and miss traffic is counted with atomics so the read path never
-// serializes on accounting either.
-type cacheShard[V any] struct {
-	m      atomic.Pointer[map[string]V]
-	mu     sync.Mutex
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-func (s *cacheShard[V]) init() {
-	m := map[string]V{}
-	s.m.Store(&m)
-}
-
-// get is the lock-free read path. key aliases caller scratch; the
-// string conversion inside the map index does not allocate.
-func (s *cacheShard[V]) get(key []byte) (V, bool) {
-	v, ok := (*s.m.Load())[string(key)]
-	return v, ok
-}
-
-// insertLocked publishes key→v (first writer wins) and returns the
-// entry now under the key. Callers must hold s.mu.
-func (s *cacheShard[V]) insertLocked(key []byte, v V) V {
-	old := *s.m.Load()
-	if cur, ok := old[string(key)]; ok {
-		return cur
-	}
-	next := make(map[string]V, len(old)+1)
-	for k, ov := range old {
-		next[k] = ov
-	}
-	next[string(key)] = v
-	s.m.Store(&next)
-	return v
-}
-
-func (s *cacheShard[V]) len() int { return len(*s.m.Load()) }
 
 // StageCache memoizes the staged artifacts of one or more traces by
 // (kernel, parameter-projection) key: stack plans keyed by the plan
@@ -81,28 +23,17 @@ func (s *cacheShard[V]) len() int { return len(*s.m.Load()) }
 // process-wide across tuning sessions: two sessions tuning kernels with
 // the same content hash — same signature or same recorded trace — hit
 // each other's artifacts, because stage planning is a pure function of
-// (trace, projected parameters) and never reads the run seed. Safe for
-// concurrent use.
+// (trace, projected parameters) and never reads the run seed. Sessions
+// query it through per-session Views. Safe for concurrent use.
 //
-// Internally the plan and wire maps are sharded by key hash into
-// lock-striped copy-on-write buckets: a warm lookup loads the shard's
-// published map pointer and bumps an atomic counter — no mutex — while a
-// cold build serializes only with other builds on the same stripe. A
-// wire-stripe build may take a plan-stripe lock (wire→plan order only),
-// so the two lock families cannot deadlock.
+// The traces, plans and wires are each a cowmap.Map: a warm lookup takes
+// no lock and allocates nothing, and a cold build runs under one stripe
+// lock, so each distinct key is built exactly once. A wire build takes a
+// plan-stripe lock (wire→plan order only), so the two cannot deadlock.
 type StageCache struct {
-	mu        sync.Mutex // guards kernelKey and traces
-	kernelKey string     // key the single-trace API (WireFor, Trace) is bound to
-	traces    map[string]*Trace
-
-	plans [stageShardCount]cacheShard[*StackPlan]
-	wires [stageShardCount]cacheShard[*WirePlan]
-
-	// serial, when non-nil, routes every operation — including warm
-	// hits and plan/lower builds — through one global mutex. It exists
-	// solely so benchmarks can measure the pre-sharding single-mutex
-	// behavior against the same workload; see Serialize.
-	serial *sync.Mutex
+	traces cowmap.Map[*Trace]
+	plans  cowmap.Map[*StackPlan]
+	wires  cowmap.Map[*WirePlan]
 }
 
 // StageStats counts cache traffic per stage.
@@ -147,110 +78,21 @@ func (s *StageStats) add(o StageStats) {
 	s.WireMisses += o.WireMisses
 }
 
-// NewStageCache returns a cache over the single trace, bound to the empty
-// kernel key until SetKernelKey rebinds it.
-func NewStageCache(t *Trace) *StageCache {
-	c := NewSharedStageCache()
-	c.traces[""] = t
-	return c
-}
-
 // NewSharedStageCache returns an empty multi-kernel cache, meant to be
 // shared across sessions: callers Register each kernel's trace under its
 // content hash and query through per-session Views.
-func NewSharedStageCache() *StageCache {
-	c := &StageCache{traces: map[string]*Trace{}}
-	for i := range c.plans {
-		c.plans[i].init()
-		c.wires[i].init()
-	}
-	return c
-}
-
-// Serialize switches the cache into single-mutex mode: every lookup and
-// build — warm hits included — serializes on one global lock, exactly
-// the pre-sharding behavior. It is a benchmark baseline, not a feature;
-// call it once, before the cache is shared.
-func (c *StageCache) Serialize() *StageCache {
-	c.serial = &sync.Mutex{}
-	return c
-}
-
-// Trace returns the trace the single-trace API is bound to (nil for a
-// shared cache with no trace registered under the bound key).
-func (c *StageCache) Trace() *Trace {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.traces[c.kernelKey]
-}
-
-// SetKernelKey installs a kernel content hash (typically
-// IOSignature.Hash-derived) as the bound key: the trace registered under
-// the previous bound key moves to the new one, and WireFor prefixes every
-// cache key with it. On a cache shared between kernels the prefix is what
-// keeps one kernel's artifacts from answering for another's.
-func (c *StageCache) SetKernelKey(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if key != c.kernelKey {
-		if t, ok := c.traces[c.kernelKey]; ok {
-			delete(c.traces, c.kernelKey)
-			if _, taken := c.traces[key]; !taken {
-				c.traces[key] = t
-			}
-		}
-		c.kernelKey = key
-	}
-}
-
-// KernelKey returns the bound kernel content hash ("" when unset).
-func (c *StageCache) KernelKey() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.kernelKey
-}
+func NewSharedStageCache() *StageCache { return &StageCache{} }
 
 // Register installs the trace for a kernel key. The first registration
 // wins: a key already present keeps its trace, which is what lets many
 // sessions race to register the same content-addressed kernel.
-func (c *StageCache) Register(key string, t *Trace) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.traces[key]; !ok {
-		c.traces[key] = t
-	}
-}
+func (c *StageCache) Register(key string, t *Trace) { c.traces.Insert(key, t) }
 
-// HasKernel reports whether a trace is registered under the key.
-func (c *StageCache) HasKernel(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.traces[key]
-	return ok
-}
-
-// Kernels returns the number of registered kernel traces.
-func (c *StageCache) Kernels() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.traces)
-}
-
-// Stats returns a snapshot of the cache-wide counters (all views and
-// bound-key queries combined), merged across shards. Each counter is a
-// sum of per-shard atomics, so a snapshot taken while traffic is in
-// flight is approximate in the usual monotonic-counter sense; quiescent
-// reads — every test and report in this repo — are exact, because a
-// completed WireFor has fully retired its counter updates.
+// Stats returns a snapshot of the cache-wide counters (all views
+// combined).
 func (c *StageCache) Stats() StageStats {
-	var s StageStats
-	for i := range c.plans {
-		s.PlanHits += c.plans[i].hits.Load()
-		s.PlanMisses += c.plans[i].misses.Load()
-		s.WireHits += c.wires[i].hits.Load()
-		s.WireMisses += c.wires[i].misses.Load()
-	}
-	return s
+	p, w := c.plans.Stats(), c.wires.Stats()
+	return StageStats{PlanHits: p.Hits, PlanMisses: p.Misses, WireHits: w.Hits, WireMisses: w.Misses}
 }
 
 // View returns a session-local handle on the cache bound to one kernel
@@ -281,18 +123,50 @@ func (v *CacheView) KernelKey() string { return v.kernelKey }
 // WireFor returns the wire plan of the assignment's configuration under
 // the view's kernel, building (and caching, shared) what its projections
 // miss. s must be a.Settings() and ppn the cluster's processes per node.
+//
+// The key is built in stack scratch, so a hit takes no lock and makes no
+// allocation. A miss builds the plan (itself a cached lookup) and lowers
+// it under the wire stripe's lock.
 func (v *CacheView) WireFor(a *params.Assignment, s params.StackSettings, ppn int) (*WirePlan, error) {
-	var delta StageStats
-	wp, err := v.c.wireFor(v.kernelKey, a, s, &delta, ppn)
-	if delta.WireHits != 0 {
-		v.wireHits.Add(delta.WireHits)
-	}
-	if delta.WireMisses != 0 {
-		v.wireMisses.Add(delta.WireMisses)
-		v.planHits.Add(delta.PlanHits)
-		v.planMisses.Add(delta.PlanMisses)
+	var scratch [64]byte
+	key := append(scratch[:0], v.kernelKey...)
+	key = append(key, 0)
+	key = a.AppendProjection(key, wireFootprint)
+	wp, built, err := v.c.wires.GetOrBuild(key, func() (*WirePlan, error) {
+		sp, err := v.planFor(a, s.HDF5)
+		if err != nil {
+			return nil, err
+		}
+		return LowerPlan(sp, s.Hints, s.HDF5, ppn), nil
+	})
+	if built {
+		v.wireMisses.Add(1)
+	} else {
+		v.wireHits.Add(1)
 	}
 	return wp, err
+}
+
+// planFor returns the stage-1 stack plan for the assignment's plan
+// projection, building and publishing it on a miss.
+func (v *CacheView) planFor(a *params.Assignment, cfg hdf5.Config) (*StackPlan, error) {
+	var scratch [64]byte
+	key := append(scratch[:0], v.kernelKey...)
+	key = append(key, 0)
+	key = a.AppendProjection(key, params.PlanStage)
+	sp, built, err := v.c.plans.GetOrBuild(key, func() (*StackPlan, error) {
+		t, ok := v.c.traces.Get(key[:len(v.kernelKey)])
+		if !ok {
+			return nil, fmt.Errorf("replay: no trace registered for kernel %q", v.kernelKey)
+		}
+		return BuildStackPlan(t, cfg)
+	})
+	if built {
+		v.planMisses.Add(1)
+	} else {
+		v.planHits.Add(1)
+	}
+	return sp, err
 }
 
 // Stats returns the view's private counters: the traffic this view (not
@@ -306,119 +180,9 @@ func (v *CacheView) Stats() StageStats {
 	}
 }
 
-// WireFor returns the wire plan of the assignment's configuration under
-// the bound kernel key, building (and caching) the stage artifacts its
-// projections miss. s must be a.Settings() and ppn the cluster's
-// processes per node.
-func (c *StageCache) WireFor(a *params.Assignment, s params.StackSettings, ppn int) (*WirePlan, error) {
-	return c.wireFor(c.KernelKey(), a, s, nil, ppn)
-}
-
-// wireFor is the shared implementation: delta, when non-nil, additionally
-// receives the hit/miss traffic of this one call (for per-view stats).
-//
-// The fast path builds the wire key into stack scratch, loads the
-// stripe's published map, and returns on a hit — zero locks, zero
-// allocations. A miss takes only that stripe's mutex, re-checks (another
-// session may have published while we waited), builds the plan (itself a
-// striped lookup), lowers, and republishes.
-func (c *StageCache) wireFor(kernelKey string, a *params.Assignment, s params.StackSettings, delta *StageStats, ppn int) (*WirePlan, error) {
-	if c.serial != nil {
-		c.serial.Lock()
-		defer c.serial.Unlock()
-	}
-
-	var scratch [64]byte
-	key := append(scratch[:0], kernelKey...)
-	key = append(key, 0)
-	key = a.AppendProjection(key, wireFootprint)
-	shard := &c.wires[shardOf(key)]
-
-	if wp, ok := shard.get(key); ok {
-		shard.hits.Add(1)
-		if delta != nil {
-			delta.WireHits++
-		}
-		return wp, nil
-	}
-
-	shard.mu.Lock()
-	defer shard.mu.Unlock()
-	if wp, ok := shard.get(key); ok {
-		// Lost the build race: another session published while we
-		// waited for the stripe. Still a miss from this caller's view —
-		// it queued behind the build — matching pre-sharding accounting
-		// where the second requester blocked on the cache lock.
-		shard.hits.Add(1)
-		if delta != nil {
-			delta.WireHits++
-		}
-		return wp, nil
-	}
-	shard.misses.Add(1)
-	if delta != nil {
-		delta.WireMisses++
-	}
-	sp, err := c.planFor(kernelKey, a, s.HDF5, delta)
-	if err != nil {
-		return nil, err
-	}
-	wp := LowerPlan(sp, s.Hints, s.HDF5, ppn)
-	return shard.insertLocked(key, wp), nil
-}
-
-// planFor returns the stage-1 stack plan for the assignment's plan
-// projection, building and publishing it on a miss. Callers may hold a
-// wire-stripe mutex; plan stripes are a distinct lock family ordered
-// after wire stripes, so this cannot deadlock.
-func (c *StageCache) planFor(kernelKey string, a *params.Assignment, cfg hdf5.Config, delta *StageStats) (*StackPlan, error) {
-	var scratch [64]byte
-	key := append(scratch[:0], kernelKey...)
-	key = append(key, 0)
-	key = a.AppendProjection(key, params.PlanStage)
-	shard := &c.plans[shardOf(key)]
-
-	if sp, ok := shard.get(key); ok {
-		shard.hits.Add(1)
-		if delta != nil {
-			delta.PlanHits++
-		}
-		return sp, nil
-	}
-
-	shard.mu.Lock()
-	defer shard.mu.Unlock()
-	if sp, ok := shard.get(key); ok {
-		shard.hits.Add(1)
-		if delta != nil {
-			delta.PlanHits++
-		}
-		return sp, nil
-	}
-	shard.misses.Add(1)
-	if delta != nil {
-		delta.PlanMisses++
-	}
-	c.mu.Lock()
-	t, ok := c.traces[kernelKey]
-	c.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("replay: no trace registered for kernel %q", kernelKey)
-	}
-	sp, err := BuildStackPlan(t, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return shard.insertLocked(key, sp), nil
-}
-
-// Lower is the uncached form of WireFor, used by tests comparing cache-hit
-// artifacts to fresh recomputation. It lowers against the bound trace.
-func (c *StageCache) Lower(s params.StackSettings, ppn int) (*WirePlan, error) {
-	t := c.Trace()
-	if t == nil {
-		return nil, fmt.Errorf("replay: no trace registered for kernel %q", c.KernelKey())
-	}
+// Lower is the uncached form of CacheView.WireFor: it plans and lowers
+// the trace afresh. Tests compare cache hits against it.
+func Lower(t *Trace, s params.StackSettings, ppn int) (*WirePlan, error) {
 	sp, err := BuildStackPlan(t, s.HDF5)
 	if err != nil {
 		return nil, err

@@ -259,10 +259,11 @@ func TestKernelStoreConcurrentAccess(t *testing.T) {
 }
 
 // TestStageCacheWarmPathLockFree asserts the acceptance property directly:
-// a warm-path hit — StageCache.WireFor on a cached key, KernelStore.Get on
+// a warm-path hit — CacheView.WireFor on a cached key, KernelStore.Get on
 // a stored kernel — acquires no mutex and allocates nothing. The mutex
 // claim is checked with the runtime mutex profiler (any contended lock in
-// this package's frames fails); the allocation claim with AllocsPerRun.
+// this package's or cowmap's frames fails); the allocation claim with
+// AllocsPerRun.
 func TestStageCacheWarmPathLockFree(t *testing.T) {
 	c := cluster.CoriHaswell(2, 8)
 	tr := recordTrace(t, "macsio", 3)
@@ -318,7 +319,7 @@ func TestStageCacheWarmPathLockFree(t *testing.T) {
 		frames := runtime.CallersFrames(rec.Stack())
 		for {
 			f, more := frames.Next()
-			if strings.Contains(f.Function, "tunio/internal/replay.") {
+			if strings.Contains(f.Function, "tunio/internal/replay.") || strings.Contains(f.Function, "tunio/internal/cowmap.") {
 				t.Fatalf("warm-path hit contended a mutex at %s (%s:%d)", f.Function, f.File, f.Line)
 			}
 			if !more {
@@ -340,11 +341,9 @@ func mutexRecords(t *testing.T) []runtime.BlockProfileRecord {
 	return recs[:n]
 }
 
-// warmBench primes a stage cache and kernel store and times the warm-path
-// hit under RunParallel. The serialized variant routes every operation
-// through one global mutex — the pre-sharding architecture — so the pair
-// is the contention contrast BENCH_serve.json quantifies end to end.
-func warmBench(b *testing.B, cache *StageCache, store *KernelStore) {
+// BenchmarkWarmHitSharded times the warm-path hit — a cached wire plan
+// and a stored kernel — under RunParallel.
+func BenchmarkWarmHitSharded(b *testing.B) {
 	c := cluster.CoriHaswell(2, 8)
 	w, err := workload.ByName("macsio", c.Procs())
 	if err != nil {
@@ -358,6 +357,7 @@ func warmBench(b *testing.B, cache *StageCache, store *KernelStore) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cache, store := NewSharedStageCache(), NewKernelStore()
 	cache.Register("sig:k", tr)
 	store.Put("kern", KernelEntry{Trace: tr, KernelHash: TraceKey(tr)})
 	a := params.DefaultAssignment(params.Space())
@@ -378,12 +378,4 @@ func warmBench(b *testing.B, cache *StageCache, store *KernelStore) {
 			}
 		}
 	})
-}
-
-func BenchmarkWarmHitSharded(b *testing.B) {
-	warmBench(b, NewSharedStageCache(), NewKernelStore())
-}
-
-func BenchmarkWarmHitSerialized(b *testing.B) {
-	warmBench(b, NewSharedStageCache().Serialize(), NewKernelStore().Serialize())
 }

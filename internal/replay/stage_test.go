@@ -65,7 +65,9 @@ func TestStagedExecMatchesLiveRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Record(%s): %v", name, err)
 		}
-		cache := NewStageCache(trace)
+		cache := NewSharedStageCache()
+		cache.Register(name, trace)
+		view := cache.View(name)
 		var rt Runtime
 
 		for cfgName, a := range configs {
@@ -78,7 +80,7 @@ func TestStagedExecMatchesLiveRun(t *testing.T) {
 					t.Fatalf("%s: live Execute: %v", label, err)
 				}
 
-				wp, err := cache.WireFor(a, s, c.ProcsPerNode)
+				wp, err := view.WireFor(a, s, c.ProcsPerNode)
 				if err != nil {
 					t.Fatalf("%s: WireFor: %v", label, err)
 				}
@@ -115,19 +117,21 @@ func TestStageCacheHitMatchesMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewStageCache(trace)
+	cache := NewSharedStageCache()
+	cache.Register("flash", trace)
+	view := cache.View("flash")
 	a := mutate(t, map[string]int{params.CollectiveWrite: 1, params.StripingFactor: 5})
 	s := a.Settings()
 
 	// Prime the cache, then fetch again (hit) and recompute uncached.
-	if _, err := cache.WireFor(a, s, c.ProcsPerNode); err != nil {
+	if _, err := view.WireFor(a, s, c.ProcsPerNode); err != nil {
 		t.Fatal(err)
 	}
-	hit, err := cache.WireFor(a, s, c.ProcsPerNode)
+	hit, err := view.WireFor(a, s, c.ProcsPerNode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	miss, err := cache.Lower(s, c.ProcsPerNode)
+	miss, err := Lower(trace, s, c.ProcsPerNode)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
-	"sync/atomic"
+
+	"tunio/internal/cowmap"
 )
 
 // TraceKey returns the content-derived kernel identity of a trace: an
@@ -49,23 +49,11 @@ type KernelEntry struct {
 // simulated hardware times it), so reuse across sessions with different
 // seeds is sound; TestKernelStoreTraceSeedIndependent pins this.
 //
-// Safe for concurrent use. Reads are lock-free: the entry map is
-// published through an atomic pointer and never mutated in place, so a
-// warm Get loads the pointer, indexes the immutable map, and bumps an
-// atomic counter. Writers (Put, Load) clone-insert-republish under a
-// mutex. The first Put under a key wins, so sessions racing to record
-// the same kernel converge on one trace — and Save always serializes a
-// single immutable snapshot, so a save concurrent with puts can never
-// write a torn file.
+// Safe for concurrent use. The entries are a cowmap.Map, so a warm Get
+// takes no lock and allocates nothing. The first Put under a key wins, so
+// sessions racing to record the same kernel converge on one trace.
 type KernelStore struct {
-	mu      sync.Mutex // serializes writers; readers never take it
-	entries atomic.Pointer[map[string]KernelEntry]
-	hits    atomic.Int64
-	misses  atomic.Int64
-
-	// serial, when non-nil, routes Get/Put through one global mutex —
-	// the pre-COW behavior, kept as a benchmark baseline. See Serialize.
-	serial *sync.Mutex
+	entries cowmap.Map[KernelEntry]
 }
 
 // KernelStoreStats reports store traffic and occupancy.
@@ -84,73 +72,30 @@ func (s KernelStoreStats) HitRate() float64 {
 }
 
 // NewKernelStore returns an empty store.
-func NewKernelStore() *KernelStore {
-	s := &KernelStore{}
-	m := map[string]KernelEntry{}
-	s.entries.Store(&m)
-	return s
-}
-
-// Serialize switches the store into single-mutex mode (every Get and Put
-// serializes on one global lock). Benchmark baseline only; call once,
-// before the store is shared.
-func (s *KernelStore) Serialize() *KernelStore {
-	s.serial = &sync.Mutex{}
-	return s
-}
+func NewKernelStore() *KernelStore { return &KernelStore{} }
 
 // Get looks up the kernel recorded under the identity key, counting the
 // lookup as a hit or miss. Lock-free on every path.
 func (s *KernelStore) Get(key string) (KernelEntry, bool) {
-	if s.serial != nil {
-		s.serial.Lock()
-		defer s.serial.Unlock()
-	}
-	e, ok := (*s.entries.Load())[key]
-	if ok {
-		s.hits.Add(1)
-	} else {
-		s.misses.Add(1)
-	}
-	return e, ok
+	var scratch [64]byte
+	return s.entries.Get(append(scratch[:0], key...))
 }
 
 // Put stores the kernel under the identity key. A key already present
 // keeps its entry (first recording wins).
 func (s *KernelStore) Put(key string, e KernelEntry) {
-	if e.Trace == nil {
-		return
+	if e.Trace != nil {
+		s.entries.Insert(key, e)
 	}
-	if s.serial != nil {
-		s.serial.Lock()
-		defer s.serial.Unlock()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.entries.Load()
-	if _, taken := old[key]; taken {
-		return
-	}
-	next := make(map[string]KernelEntry, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[key] = e
-	s.entries.Store(&next)
 }
 
 // Len returns the number of stored kernels.
-func (s *KernelStore) Len() int {
-	return len(*s.entries.Load())
-}
+func (s *KernelStore) Len() int { return s.entries.Stats().Len }
 
 // Stats returns a snapshot of the store counters.
 func (s *KernelStore) Stats() KernelStoreStats {
-	return KernelStoreStats{
-		Hits:    s.hits.Load(),
-		Misses:  s.misses.Load(),
-		Kernels: len(*s.entries.Load()),
-	}
+	st := s.entries.Stats()
+	return KernelStoreStats{Hits: st.Hits, Misses: st.Misses, Kernels: st.Len}
 }
 
 // storeFileVersion versions the on-disk store format; Load rejects other
@@ -179,11 +124,12 @@ type storeEntry struct {
 // detect corruption. Hit/miss counters are not persisted — they describe
 // one process's traffic, not the kernels.
 //
-// Save serializes one published snapshot: the entry map is immutable
-// once published, so no lock is held while marshaling, and puts that
-// land mid-save simply miss this file and make the next one.
+// Save serializes one snapshot of published entries, each immutable once
+// published, so no lock is held while marshaling and a save concurrent
+// with puts never writes a torn file; puts that land mid-save may miss
+// this file and make the next one.
 func (s *KernelStore) Save(path string) (int, error) {
-	snapshot := *s.entries.Load()
+	snapshot := s.entries.Snapshot()
 	keys := make([]string, 0, len(snapshot))
 	for k := range snapshot {
 		keys = append(keys, k)
@@ -268,18 +214,6 @@ func (s *KernelStore) Load(path string) (int, error) {
 		}
 		loaded[e.Key] = KernelEntry{Trace: t, KernelHash: e.KernelHash}
 	}
-	s.mu.Lock()
-	old := *s.entries.Load()
-	next := make(map[string]KernelEntry, len(old)+len(loaded))
-	for k, e := range old {
-		next[k] = e
-	}
-	for k, e := range loaded {
-		if _, taken := next[k]; !taken {
-			next[k] = e
-		}
-	}
-	s.entries.Store(&next)
-	s.mu.Unlock()
+	s.entries.InsertAll(loaded)
 	return len(loaded), nil
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"tunio/internal/cowmap"
 	"tunio/internal/params"
 )
 
@@ -217,59 +218,42 @@ feed:
 // The first occurrence in batch order defines the cached value, so curves
 // stay bit-identical between serial and parallel execution.
 //
-// Safe for concurrent use. The cache is published copy-on-write through
-// an atomic pointer: a batch whose genomes are all cached partitions,
-// counts, and fills entirely from one immutable snapshot — zero locks.
-// Only batches that actually simulate take the writer mutex, to clone
-// and republish. Two goroutines racing on the same uncached genome may
-// both simulate it, but SeedFor makes the measurements bit-identical, so
-// whichever publish lands last changes nothing.
+// Safe for concurrent use. The cache is a cowmap.Map, so a batch whose
+// genomes are all cached is served with zero locks. Two goroutines racing
+// on the same uncached genome may both simulate it, but SeedFor makes the
+// measurements bit-identical, so whichever publishes first changes
+// nothing.
 type Memo struct {
 	Inner BatchEvaluator
 
-	mu     sync.Mutex // serializes writers (publish, key changes)
-	state  atomic.Pointer[memoState]
-	hits   atomic.Int64
-	misses atomic.Int64
-
-	// serial, when non-nil, restores the pre-COW behavior of taking one
-	// global mutex around the whole batch. Benchmark baseline only.
-	serial *sync.Mutex
+	cache  cowmap.Map[EvalResult]
+	mu     sync.Mutex // serializes key changes
+	prefix atomic.Pointer[memoPrefix]
 }
 
-// memoState is one immutable published snapshot: the key configuration
-// and the cache built under it. Replaced wholesale on every mutation.
-type memoState struct {
+// memoPrefix is the part of every cache key that is not the genome: the
+// kernel hash and, when set, the drift epoch, rendered once. Keying
+// (rather than flushing) on epoch keeps the invalidation monotonic and
+// race-free — an in-flight batch keeps the prefix it started with.
+type memoPrefix struct {
 	kernKey  string
 	epoch    float64
 	hasEpoch bool
-	prefix   string // kernKey [+ epoch] rendered once, prepended to every key
-	cache    map[string]EvalResult
+	rendered string
 }
 
-// prefixFor renders the cache-key prefix: the kernel hash and, when set,
-// the drift epoch. Keying (rather than flushing) on epoch keeps the
-// invalidation monotonic and race-free — an in-flight batch keeps using
-// the snapshot it partitioned against.
-func prefixFor(kernKey string, epoch float64, hasEpoch bool) string {
-	if !hasEpoch {
-		return kernKey + "\x00"
+func newMemoPrefix(kernKey string, epoch float64, hasEpoch bool) *memoPrefix {
+	p := &memoPrefix{kernKey: kernKey, epoch: epoch, hasEpoch: hasEpoch, rendered: kernKey + "\x00"}
+	if hasEpoch {
+		p.rendered += "e" + strconv.FormatUint(math.Float64bits(epoch), 16) + "\x00"
 	}
-	return kernKey + "\x00e" + strconv.FormatUint(math.Float64bits(epoch), 16) + "\x00"
+	return p
 }
 
 // NewMemo wraps inner with an empty cache.
 func NewMemo(inner BatchEvaluator) *Memo {
 	m := &Memo{Inner: inner}
-	m.state.Store(&memoState{prefix: prefixFor("", 0, false), cache: map[string]EvalResult{}})
-	return m
-}
-
-// Serialize switches the memo into single-mutex mode (the pre-COW
-// behavior: one global lock around partition, publish, and fill).
-// Benchmark baseline only; call once, before the memo is shared.
-func (m *Memo) Serialize() *Memo {
-	m.serial = &sync.Mutex{}
+	m.prefix.Store(newMemoPrefix("", 0, false))
 	return m
 }
 
@@ -280,14 +264,8 @@ func (m *Memo) Serialize() *Memo {
 func (m *Memo) SetKernelKey(key string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	old := m.state.Load()
-	m.state.Store(&memoState{
-		kernKey:  key,
-		epoch:    old.epoch,
-		hasEpoch: old.hasEpoch,
-		prefix:   prefixFor(key, old.epoch, old.hasEpoch),
-		cache:    old.cache,
-	})
+	old := m.prefix.Load()
+	m.prefix.Store(newMemoPrefix(key, old.epoch, old.hasEpoch))
 }
 
 // SetEpoch installs a drift epoch (a simulated re-tune timestamp) as a
@@ -299,22 +277,10 @@ func (m *Memo) SetKernelKey(key string) {
 func (m *Memo) SetEpoch(epoch float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	old := m.state.Load()
-	if old.hasEpoch && old.epoch == epoch {
-		return
+	old := m.prefix.Load()
+	if !old.hasEpoch || old.epoch != epoch {
+		m.prefix.Store(newMemoPrefix(old.kernKey, epoch, true))
 	}
-	m.state.Store(&memoState{
-		kernKey:  old.kernKey,
-		epoch:    epoch,
-		hasEpoch: true,
-		prefix:   prefixFor(old.kernKey, epoch, true),
-		cache:    old.cache,
-	})
-}
-
-// genomeKey renders an assignment's genome as a compact cache key.
-func genomeKey(a *params.Assignment) string {
-	return string(appendGenomeKey(nil, a))
 }
 
 // appendGenomeKey appends the genome's dot-separated value indices.
@@ -330,81 +296,58 @@ func appendGenomeKey(b []byte, a *params.Assignment) []byte {
 
 // EvaluateBatch implements BatchEvaluator: cached positions are served
 // from the cache; the remaining distinct genomes are forwarded to the
-// inner evaluator as one (possibly concurrent) sub-batch.
+// inner evaluator as one (possibly concurrent) sub-batch. A position
+// repeating a genome simulated earlier in the same batch is served from
+// the cache once the sub-batch is published, so it counts as a hit.
 func (m *Memo) EvaluateBatch(ctx context.Context, batch []*params.Assignment, iteration int) ([]EvalResult, error) {
-	if m.serial != nil {
-		m.serial.Lock()
-		defer m.serial.Unlock()
-	}
 	out := make([]EvalResult, len(batch))
-	keys := make([]string, len(batch))
-	st := m.state.Load()
-
-	// Partition against the cache snapshot at batch start: position i is
-	// a miss only if its genome is neither cached nor requested earlier
-	// in this batch. This partition is a pure function of (cache, batch),
-	// so it is identical however the inner evaluator schedules the work.
-	var sub []*params.Assignment
-	var subIdx []int // sub position -> first batch position with that genome
-	var firstAt map[string]int
+	prefix := m.prefix.Load().rendered
 	var scratch [96]byte
+
+	var sub []*params.Assignment
+	var subIdx []int           // sub position -> batch position
+	var subKeys []string       // sub position -> cache key
+	var queued map[string]bool // subKeys as a set
+	var repeats []int          // batch positions repeating a queued genome
 	for i, a := range batch {
-		kb := append(scratch[:0], st.prefix...)
-		kb = appendGenomeKey(kb, a)
-		k := string(kb)
-		keys[i] = k
-		if _, cached := st.cache[k]; cached {
+		k := appendGenomeKey(append(scratch[:0], prefix...), a)
+		if queued[string(k)] {
+			repeats = append(repeats, i)
 			continue
 		}
-		if firstAt == nil {
-			firstAt = map[string]int{}
-		}
-		if _, queued := firstAt[k]; queued {
+		if r, ok := m.cache.Get(k); ok {
+			out[i] = r
 			continue
 		}
-		firstAt[k] = i
+		if queued == nil {
+			queued = map[string]bool{}
+		}
+		key := string(k)
+		queued[key] = true
 		sub = append(sub, a)
 		subIdx = append(subIdx, i)
+		subKeys = append(subKeys, key)
 	}
-	m.hits.Add(int64(len(batch) - len(sub)))
-	m.misses.Add(int64(len(sub)))
-
-	served := st.cache
-	if len(sub) > 0 {
-		res, err := m.Inner.EvaluateBatch(ctx, sub, iteration)
-		if err != nil {
-			if be, ok := err.(*BatchError); ok {
-				// surface the position the caller asked about
-				return nil, &BatchError{Index: subIdx[be.Index], Err: be.Err}
-			}
-			return nil, err
-		}
-		m.mu.Lock()
-		cur := m.state.Load()
-		next := make(map[string]EvalResult, len(cur.cache)+len(res))
-		for k, v := range cur.cache {
-			next[k] = v
-		}
-		for j, r := range res {
-			next[keys[subIdx[j]]] = r
-		}
-		m.state.Store(&memoState{
-			kernKey:  cur.kernKey,
-			epoch:    cur.epoch,
-			hasEpoch: cur.hasEpoch,
-			prefix:   cur.prefix,
-			cache:    next,
-		})
-		m.mu.Unlock()
-		served = next
+	if len(sub) == 0 {
+		return out, nil
 	}
 
-	for i := range batch {
-		r, ok := served[keys[i]]
-		if !ok {
-			return nil, fmt.Errorf("tuner: memo: genome %s missing after evaluation", keys[i])
+	res, err := m.Inner.EvaluateBatch(ctx, sub, iteration)
+	if err != nil {
+		if be, ok := err.(*BatchError); ok {
+			// surface the position the caller asked about
+			return nil, &BatchError{Index: subIdx[be.Index], Err: be.Err}
 		}
-		out[i] = r
+		return nil, err
+	}
+	fill := make(map[string]EvalResult, len(res))
+	for j, r := range res {
+		fill[subKeys[j]] = r
+		out[subIdx[j]] = r
+	}
+	m.cache.InsertAll(fill)
+	for _, i := range repeats {
+		out[i], _ = m.cache.Get(appendGenomeKey(append(scratch[:0], prefix...), batch[i]))
 	}
 	return out, nil
 }
@@ -412,7 +355,8 @@ func (m *Memo) EvaluateBatch(ctx context.Context, batch []*params.Assignment, it
 // CacheStats reports how many batch positions were served from the cache
 // versus simulated. RunBatch copies these onto the Result.
 func (m *Memo) CacheStats() (hits, misses int) {
-	return int(m.hits.Load()), int(m.misses.Load())
+	st := m.cache.Stats()
+	return int(st.Hits), int(st.Misses)
 }
 
 // cacheStatser lets RunBatch surface memoization counters without

@@ -231,15 +231,9 @@ const (
 	driftSaltGA     = 5 // warm-started GA pipeline seeds
 )
 
-// wireSource serves stage-2 wire plans (a private StageCache or a
-// shared CacheView).
-type wireSource interface {
-	WireFor(a *params.Assignment, s params.StackSettings, ppn int) (*replay.WirePlan, error)
-}
-
 type driftRun struct {
 	cfg   DriftConfig
-	wire  wireSource
+	wire  *replay.CacheView
 	pool  *workload.StackPool
 	ppn   int
 	drift *cluster.Drift
@@ -299,10 +293,11 @@ func RunDrift(ctx context.Context, cfg DriftConfig) (*DriftResult, error) {
 		ppn:   cfg.Cluster.ProcsPerNode,
 		drift: cfg.Cluster.Drift,
 	}
-	if cfg.Cache != nil {
-		d.wire = cfg.Cache
-	} else {
-		d.wire = replay.NewStageCache(cfg.Trace)
+	d.wire = cfg.Cache
+	if d.wire == nil {
+		c := replay.NewSharedStageCache()
+		c.Register("", cfg.Trace)
+		d.wire = c.View("")
 	}
 	if cfg.Picker != nil {
 		cfg.Picker.Reset()

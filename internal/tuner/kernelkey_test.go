@@ -36,7 +36,7 @@ func TestTraceEvaluatorKernelHash(t *testing.T) {
 	if !strings.HasPrefix(h, "sig:") {
 		t.Errorf("kernel hash = %q, want a signature-derived sig: prefix", h)
 	}
-	if got := e.cache.KernelKey(); got != h {
+	if got := e.view.KernelKey(); got != h {
 		t.Errorf("stage-cache kernel key = %q, want %q", got, h)
 	}
 	// Prepare is idempotent and the hash is stable.

@@ -71,7 +71,7 @@ func TestMemoEpochInvalidation(t *testing.T) {
 // TestMemoWarmPathLockFree asserts the repeated-genome fast path directly:
 // a batch served entirely from the published snapshot acquires no mutex.
 // Checked with the runtime mutex profiler under 8 hammering goroutines —
-// any contended lock inside this package's frames fails the test.
+// any contended lock inside this package's or cowmap's frames fails.the test.
 func TestMemoWarmPathLockFree(t *testing.T) {
 	memo := NewMemo(AdaptEvaluator(&seededSynthetic{}))
 	memo.SetKernelKey("sig:k")
@@ -110,7 +110,7 @@ func TestMemoWarmPathLockFree(t *testing.T) {
 		frames := runtime.CallersFrames(rec.Stack())
 		for {
 			f, more := frames.Next()
-			if strings.Contains(f.Function, "tunio/internal/tuner.") {
+			if strings.Contains(f.Function, "tunio/internal/tuner.") || strings.Contains(f.Function, "tunio/internal/cowmap.") {
 				t.Fatalf("warm memo batch contended a mutex at %s (%s:%d)", f.Function, f.File, f.Line)
 			}
 			if !more {

@@ -48,11 +48,10 @@ type TraceEvaluator struct {
 	// Shared, when non-nil, is a (typically process-global) multi-kernel
 	// stage cache shared with other evaluators: stage artifacts are read
 	// and written under this kernel's content hash, so sessions tuning
-	// the same kernel hit each other's plans. Stats() then reports this
-	// evaluator's private view, not cache-wide traffic. When nil the
-	// evaluator owns a fresh cache (the historical behavior). Artifacts
-	// are pure functions of (trace, projected parameters), so sharing
-	// never changes scores.
+	// the same kernel hit each other's plans. When nil the evaluator owns
+	// a fresh cache. Either way Stats() reports this evaluator's private
+	// view, not cache-wide traffic. Artifacts are pure functions of
+	// (trace, projected parameters), so sharing never changes scores.
 	Shared *replay.StageCache
 	// Store, when non-nil, is a content-addressed kernel store consulted
 	// under StoreKey before recording: on a hit the stored trace (and its
@@ -65,7 +64,6 @@ type TraceEvaluator struct {
 
 	once     sync.Once
 	recErr   error
-	cache    *replay.StageCache
 	view     *replay.CacheView
 	stacks   *workload.StackPool
 	rts      sync.Pool // *replay.Runtime
@@ -133,17 +131,15 @@ func (e *TraceEvaluator) record(space []params.Parameter) {
 	e.installCache(t)
 }
 
-// installCache binds the evaluator to its stage cache: a view on the
-// shared cache when one was injected, otherwise a private cache.
+// installCache binds the evaluator to a view on its stage cache: the
+// injected shared cache, otherwise a private one.
 func (e *TraceEvaluator) installCache(t *replay.Trace) {
-	if e.Shared != nil {
-		e.Shared.Register(e.kernKey, t)
-		e.view = e.Shared.View(e.kernKey)
-	} else {
-		c := replay.NewStageCache(t)
-		c.SetKernelKey(e.kernKey)
-		e.cache = c
+	c := e.Shared
+	if c == nil {
+		c = replay.NewSharedStageCache()
 	}
+	c.Register(e.kernKey, t)
+	e.view = c.View(e.kernKey)
 	e.stacks = workload.NewStackPool(e.Cluster)
 }
 
@@ -162,18 +158,14 @@ func (e *TraceEvaluator) KernelHash() string { return e.kernKey }
 // KernelStore instead of being recorded by this evaluator.
 func (e *TraceEvaluator) StoreHit() bool { return e.storeHit }
 
-// Stats returns the stage-cache counters (zero value before the first
-// evaluation or after a recording failure). With a shared cache these are
-// this evaluator's private view — its own hit rate against the shared
-// artifacts — not cache-wide traffic.
+// Stats returns the evaluator's stage-cache counters — its own hit rate
+// against the (possibly shared) artifacts, not cache-wide traffic. Zero
+// before the first evaluation or after a recording failure.
 func (e *TraceEvaluator) Stats() replay.StageStats {
-	switch {
-	case e.view != nil:
-		return e.view.Stats()
-	case e.cache != nil:
-		return e.cache.Stats()
+	if e.view == nil {
+		return replay.StageStats{}
 	}
-	return replay.StageStats{}
+	return e.view.Stats()
 }
 
 // Evaluate implements Evaluator.
@@ -194,13 +186,7 @@ func (e *TraceEvaluator) Evaluate(a *params.Assignment, iteration int) (float64,
 		base = SeedFor(e.Seed, iteration, a)
 	}
 	s := a.Settings()
-	var wp *replay.WirePlan
-	var err error
-	if e.view != nil {
-		wp, err = e.view.WireFor(a, s, e.Cluster.ProcsPerNode)
-	} else {
-		wp, err = e.cache.WireFor(a, s, e.Cluster.ProcsPerNode)
-	}
+	wp, err := e.view.WireFor(a, s, e.Cluster.ProcsPerNode)
 	if err != nil {
 		return 0, 0, err
 	}

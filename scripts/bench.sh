@@ -17,22 +17,17 @@
 # recovery vs a zero-delay oracle, and the stage time saved by
 # SHAMan-style pruning (with bit-identical window curves) — as JSON.
 #
-# Finally runs the concurrent-load serving benchmark — 8 simultaneous
-# sessions per workload against one shared engine (in process and over a
-# live HTTP server), sharded/copy-on-write caches vs a single-global-
-# mutex baseline, with warm-path cache throughput and curve bit-identity
-# against solo Tune — and writes it as JSON.
+# Concurrent serving is measured end to end by perfbench (serve-mixed,
+# see perfbench/README.md), not here.
 #
-# Usage: scripts/bench.sh [eval.json] [train.json] [drift.json] [serve.json]
-#        (defaults BENCH_eval.json, BENCH_train.json, BENCH_drift.json,
-#        BENCH_serve.json)
+# Usage: scripts/bench.sh [eval.json] [train.json] [drift.json]
+#        (defaults BENCH_eval.json, BENCH_train.json, BENCH_drift.json)
 set -eu
 
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_eval.json}"
 trainout="${2:-BENCH_train.json}"
 driftout="${3:-BENCH_drift.json}"
-serveout="${4:-BENCH_serve.json}"
 
 echo "== micro-benchmarks (ns/op, B/op) =="
 go test -run '^$' -bench 'BenchmarkStagedExec|BenchmarkEval(DirectInterp|TraceReplay)|BenchmarkWarmHit' \
@@ -47,7 +42,4 @@ go run ./cmd/tunebench -fig train -json "$trainout"
 echo "== online re-tuning benchmark (drift + pruning) -> $driftout =="
 go run ./cmd/tunebench -fig drift -json "$driftout"
 
-echo "== concurrent-load serving benchmark (8 sessions, sharded vs mutex) -> $serveout =="
-go run ./cmd/tunebench -fig serve -json "$serveout"
-
-echo "bench: wrote $out, $trainout, $driftout, and $serveout"
+echo "bench: wrote $out, $trainout, and $driftout"

@@ -31,8 +31,9 @@ echo "== go test -race (evaluation engine) =="
 # tests always run under the race detector, even when a narrower package
 # pattern was requested: the stage cache and stack pool are shared across
 # workers, so the bit-identity proofs must hold concurrently too.
-go test -race -run 'TestPool|TestMemo|TestSeedFor|TestRunBatch|TestTune(ParallelDeterminism|Cancellation|Memoization)|TestTraceEvaluator|TestGate' ./internal/tuner .
+go test -race -run 'TestPool|TestMemo|TestSeedFor|TestRunBatch|TestTune(ParallelDeterminism|Cancellation|Memoization)|TestTraceEvaluator|TestGate|TestEngineCrossSessionSharing' ./internal/tuner .
 go test -race -run 'TestStagedExec|TestStageCache|TestSharedStageCache|TestKernelStore|TestPooledStack' ./internal/replay
+go test -race ./internal/cowmap
 
 echo "== go test -race (tuning server) =="
 # The server multiplexes concurrent tenants onto one shared engine
@@ -40,12 +41,6 @@ echo "== go test -race (tuning server) =="
 # including the concurrent-session and SSE streaming tests — runs under
 # the race detector unconditionally.
 go test -race ./internal/server
-
-echo "== serve benchmark smoke (concurrent serving path) =="
-# One workload, 4 concurrent sessions, in process and over HTTP: the
-# serving path must complete and every served curve must stay
-# bit-identical to a solo Tune under both cache architectures.
-go test -race -run 'TestServeBenchSmoke' ./internal/servebench
 
 echo "== go test -race (signature/trace cross-validation) =="
 # The static I/O signature must exactly match the recorded trace on every
@@ -57,7 +52,7 @@ echo "== statecheck (no package-level mutable state) =="
 # allowlisted names are init-once lookup tables that are never written
 # afterwards, plus ErrBudgetExceeded — a conventional sentinel error
 # (assigned once, compared with errors.Is).
-go run ./cmd/statecheck -allow wireFootprint,sigEventKind,ErrBudgetExceeded internal/replay internal/tuner internal/server internal/train
+go run ./cmd/statecheck -allow wireFootprint,sigEventKind,ErrBudgetExceeded internal/cowmap internal/replay internal/tuner internal/server internal/train
 
 echo "== fuzz smoke (interval lattice, format expansion) =="
 go test -run=NONE -fuzz=FuzzIntervalJoinWiden -fuzztime=3s ./internal/analysis
@@ -65,6 +60,13 @@ go test -run=NONE -fuzz=FuzzExpandFormat -fuzztime=3s ./internal/analysis
 
 echo "== go test -race =="
 go test -race "$pkgs"
+
+echo "== perfbench module (build, vet, test) =="
+# perfbench is its own module (replace tunio => ../), so the root
+# go build/test never compiles it; it calls internal/replay and
+# internal/tuner APIs directly and must keep building against them.
+go -C perfbench vet ./...
+go -C perfbench test ./...
 
 echo "== iolint self-run (fixture corpus) =="
 # Generate the built-in workload sources and lint them: the shipped
