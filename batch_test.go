@@ -82,20 +82,6 @@ func TestTuneMemoizationCountsHits(t *testing.T) {
 	}
 }
 
-func TestTuneLegacyPathHasNoCache(t *testing.T) {
-	res, err := Tune(TuneOptions{
-		Workload: "macsio",
-		Nodes:    1, ProcsPerNode: 8,
-		PopSize: 4, MaxIterations: 3, Reps: 1, Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheHits != 0 || res.CacheMisses != 0 {
-		t.Fatalf("legacy path reported cache traffic: %d/%d", res.CacheHits, res.CacheMisses)
-	}
-}
-
 func TestTuneCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

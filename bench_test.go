@@ -12,6 +12,7 @@ package tunio
 //	go test -bench=. -benchmem
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -140,10 +141,10 @@ func BenchmarkAblationSelection(b *testing.B) {
 				w := workload.NewFLASH(c.Procs())
 				w.BlocksPerRank = 16
 				w.Unknowns = 4
-				res, err := tuner.Run(tuner.Config{
+				res, err := tuner.RunKernel(context.Background(), tuner.Config{
 					Space: params.Space(), PopSize: 8, MaxIterations: 12,
 					Seed: 9, Selection: sel,
-				}, &tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 9})
+				}, tuner.Kernel{Workload: w, Cluster: c, Reps: 1, Seed: 9})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -163,9 +164,9 @@ func BenchmarkAblationNoise(b *testing.B) {
 				c.Noise = noise
 				w := workload.NewHACC(c.Procs())
 				w.ParticlesPerRank = 128 << 10
-				res, err := tuner.Run(tuner.Config{
+				res, err := tuner.RunKernel(context.Background(), tuner.Config{
 					Space: params.Space(), PopSize: 8, MaxIterations: 10, Seed: 13,
-				}, &tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: 3, Seed: 13})
+				}, tuner.Kernel{Workload: w, Cluster: c, Reps: 3, Seed: 13})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -399,19 +400,11 @@ func BenchmarkDiscovery(b *testing.B) {
 	}
 }
 
-// BenchmarkTuneEvaluationEngine compares a full default-size Tune through
-// the legacy serial evaluator against the batch engine (deterministic
-// seeds + memoization). Speedups versus the pre-engine baseline are
-// recorded in EXPERIMENTS.md via scripts/benchcmp.sh.
+// BenchmarkTuneEvaluationEngine times a full default-size Tune on the
+// batch engine (staged trace replay, deterministic seeds, memoization)
+// with one worker. Compare revisions with scripts/benchcmp.sh.
 func BenchmarkTuneEvaluationEngine(b *testing.B) {
 	for _, w := range []string{"vpic", "hacc", "flash", "bdcats", "macsio"} {
-		b.Run(w+"/legacy", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Tune(TuneOptions{Workload: w, Seed: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(w+"/batch-memo", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := Tune(TuneOptions{Workload: w, Seed: 1, Parallelism: 1})

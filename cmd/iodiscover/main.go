@@ -34,7 +34,6 @@ func main() {
 	simCompute := flag.Bool("simulate-compute", false, "replace removed compute with synthetic compute_flops calls")
 	blindWrites := flag.Bool("remove-blind-writes", false, "drop writes overwritten before any read")
 	heuristic := flag.Bool("heuristic", false, "slice with per-line fixpoint marking instead of CFG def-use chains (the pre-promotion default)")
-	precise := flag.Bool("precise", false, "deprecated: precise slicing is the default; overrides -heuristic")
 	showMarked := flag.Bool("marked", false, "print the marking report instead of the kernel")
 	showSig := flag.Bool("sig", false, "print the kernel's symbolic I/O signature instead of the kernel")
 	jsonOut := flag.Bool("json", false, "with -sig, emit the signature as JSON")
@@ -57,7 +56,6 @@ func main() {
 		SimulateCompute:   *simCompute,
 		RemoveBlindWrites: *blindWrites,
 		Heuristic:         *heuristic,
-		PreciseSlice:      *precise,
 	}
 	if *keep != "" {
 		opts.KeepFuncs = strings.Split(*keep, ",")

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"tunio"
 	"tunio/internal/cluster"
@@ -31,8 +32,7 @@ func main() {
 	iters := flag.Int("iters", 50, "maximum tuning generations")
 	reps := flag.Int("reps", 3, "runs averaged per evaluation")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	parallel := flag.Int("parallel", 0, "evaluation workers; >= 1 selects the batch engine (staged trace replay), 0 the legacy serial path")
-	noTrace := flag.Bool("notrace", false, "with -parallel, score by direct simulation instead of trace replay")
+	parallel := flag.Int("parallel", 0, "evaluation workers (0 means 1); the curve is the same for every value")
 	agentIn := flag.String("agent", "", "load a trained agent from this JSON file")
 	report := flag.Bool("report", false, "print the darshan I/O report of the best configuration")
 	agentOut := flag.String("train-out", "", "save the trained agent to this JSON file")
@@ -72,7 +72,7 @@ func main() {
 		Workload: *workloadName,
 		Nodes:    *nodes, ProcsPerNode: *ppn,
 		PopSize: *pop, MaxIterations: *iters, Reps: *reps,
-		Seed: *seed, Parallelism: *parallel, NoTrace: *noTrace,
+		Seed: *seed, Parallelism: *parallel,
 	}
 	switch *pipeline {
 	case "tunio":
@@ -101,6 +101,12 @@ func main() {
 	fmt.Printf("untuned: %.0f MB/s   tuned: %.0f MB/s   speedup: %.1fx\n",
 		res.Curve.Baseline(), res.BestPerf, res.Curve.Speedup())
 	fmt.Printf("tuning time: %.0f simulated minutes\n", res.Curve.TotalMinutes())
+	if info := res.EngineInfo; info.TraceReady {
+		fmt.Printf("scored by trace replay of kernel %s; %d of %d evaluations served by the memo\n",
+			info.KernelHash, info.MemoHits, res.Evaluations)
+	} else {
+		fmt.Printf("scored by direct simulation: %s\n", strings.TrimSpace(info.PrepareErr+" "+info.FallbackErr))
+	}
 	fmt.Printf("best configuration:\n  %s\n", res.Best)
 	fmt.Printf("changed from defaults: %v\n", res.Best.ChangedFromDefault())
 

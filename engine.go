@@ -206,13 +206,10 @@ type JobSpec struct {
 	Reps int
 	// Seed drives the whole session.
 	Seed int64
-	// Parallelism is the session's worker count, as in TuneOptions: 0
-	// keeps the legacy serial evaluator, >= 1 the batch engine with
-	// staged trace replay. The engine's shared gate additionally bounds
-	// the sum across sessions.
+	// Parallelism is the session's worker count (0 means 1), as in
+	// TuneOptions. The engine's shared gate additionally bounds the sum
+	// across sessions.
 	Parallelism int
-	// NoTrace opts the batch engine out of trace replay.
-	NoTrace bool
 	// Fix pins named parameters to fixed raw values, restricting the
 	// tuned space: the value must appear in the parameter's value list.
 	Fix map[string]int64
@@ -362,6 +359,18 @@ func (e *Engine) Tune(ctx context.Context, spec JobSpec) (*Run, error) {
 	if spec.Agent != nil && spec.Heuristic {
 		return nil, fmt.Errorf("tunio: Agent and Heuristic are mutually exclusive")
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Nodes", spec.Nodes}, {"ProcsPerNode", spec.ProcsPerNode},
+		{"PopSize", spec.PopSize}, {"MaxIterations", spec.MaxIterations},
+		{"Reps", spec.Reps}, {"Parallelism", spec.Parallelism},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("tunio: %s = %d must not be negative", f.name, f.v)
+		}
+	}
 	nodes, ppn := spec.Nodes, spec.ProcsPerNode
 	if nodes == 0 {
 		nodes = 4
@@ -375,9 +384,6 @@ func (e *Engine) Tune(ctx context.Context, spec JobSpec) (*Run, error) {
 		if err := c.Validate(); err != nil {
 			return nil, err
 		}
-	}
-	if spec.Online != nil && spec.NoTrace {
-		return nil, fmt.Errorf("tunio: online sessions replay the recorded trace; NoTrace is incompatible")
 	}
 	kern, err := resolveKernel(spec, c)
 	if err != nil {
@@ -443,8 +449,8 @@ func (e *Engine) release(tenant string, res *Result, err error) {
 	}
 }
 
-// runSession is the session goroutine: the wiring formerly inlined in
-// Tune, pointed at the engine's shared caches and gate.
+// runSession is the session goroutine: one tuner.RunKernel run pointed
+// at the engine's shared caches and gate.
 func (e *Engine) runSession(ctx context.Context, r *Run, spec JobSpec, space []params.Parameter, c *cluster.Cluster, kern sessionKernel) {
 	cfg := tuner.Config{
 		Space:         space,
@@ -467,60 +473,16 @@ func (e *Engine) runSession(ctx context.Context, r *Run, spec JobSpec, space []p
 		cfg.Stopper = tuner.NewHeuristicStopper()
 	}
 
-	var res *Result
-	var err error
-	if spec.Parallelism >= 1 {
-		// Batch engine: order-independent seeds, worker pool under the
-		// shared gate, memoization. Evaluations default to staged trace
-		// replay against the engine-wide stage cache and kernel store,
-		// with direct simulation as the permanent fallback if recording
-		// fails.
-		var seeded, eval tuner.Evaluator
-		var trace *tuner.TraceEvaluator
-		if kern.prog != nil {
-			seeded = &tuner.SeededCSourceEvaluator{Prog: kern.prog, Cluster: c, Reps: spec.Reps, Seed: spec.Seed}
-		} else {
-			seeded = &tuner.SeededWorkloadEvaluator{Workload: kern.w, Cluster: c, Reps: spec.Reps, Seed: spec.Seed}
-		}
-		eval = seeded
-		var fb *tuner.FallbackEvaluator
-		if !spec.NoTrace {
-			trace = &tuner.TraceEvaluator{
-				Workload: kern.w, Prog: kern.prog,
-				Cluster: c, Reps: spec.Reps, Seed: spec.Seed,
-				KernelStyle: kern.prog != nil,
-				Shared:      e.stages,
-				Store:       e.store,
-				StoreKey:    kern.storeKey,
-			}
-			fb = &tuner.FallbackEvaluator{Primary: trace, Fallback: seeded}
-			eval = fb
-		}
-		batch := tuner.NewMemo(&tuner.Pool{Eval: eval, Workers: spec.Parallelism, Gate: e.gate})
-		var prepErr error
-		if trace != nil {
-			// Record (or adopt from the store) eagerly so the kernel
-			// content hash is part of every memo key from the first
-			// generation on; a recording failure is surfaced on
-			// Result.EngineInfo instead of being discarded.
-			if prepErr = trace.Prepare(cfg.Space); prepErr == nil {
-				batch.SetKernelKey(trace.KernelHash())
-			}
-		}
-		res, err = tuner.RunBatch(ctx, cfg, batch)
-		if res != nil {
-			applyEngineInfo(res, trace, fb, prepErr)
-		}
-	} else {
-		var eval tuner.Evaluator
-		if kern.prog != nil {
-			eval = &tuner.CSourceEvaluator{Prog: kern.prog, Cluster: c, Reps: spec.Reps, Seed: spec.Seed}
-		} else {
-			eval = &tuner.WorkloadEvaluator{Workload: kern.w, Cluster: c, Reps: spec.Reps, Seed: spec.Seed}
-		}
-		res, err = tuner.RunBatch(ctx, cfg, &tuner.Pool{Eval: eval, Workers: 1, Gate: e.gate})
+	workers := spec.Parallelism
+	if workers == 0 {
+		workers = 1
 	}
-
+	res, err := tuner.RunKernel(ctx, cfg, tuner.Kernel{
+		Workload: kern.w, Prog: kern.prog,
+		Cluster: c, Reps: spec.Reps, Seed: spec.Seed,
+		Stages: e.stages, Store: e.store, StoreKey: kern.storeKey,
+		Gate: e.gate, Workers: workers,
+	})
 	e.release(spec.Tenant, res, err)
 	r.finish(res, err)
 }
@@ -630,33 +592,6 @@ func (e *Engine) runOnlineSession(ctx context.Context, r *Run, spec JobSpec, spa
 	}
 	e.release(spec.Tenant, res, err)
 	r.finish(res, err)
-}
-
-// applyEngineInfo fills Result.EngineInfo from the session's evaluator
-// wiring once evaluations have quiesced. trace and fb may be nil (NoTrace
-// or legacy-serial sessions).
-func applyEngineInfo(res *Result, trace *tuner.TraceEvaluator, fb *tuner.FallbackEvaluator, prepErr error) {
-	info := tuner.EngineInfo{
-		MemoHits:   res.CacheHits,
-		MemoMisses: res.CacheMisses,
-	}
-	if trace != nil {
-		info.TraceReady = prepErr == nil
-		if prepErr != nil {
-			info.PrepareErr = prepErr.Error()
-		}
-		info.KernelHash = trace.KernelHash()
-		info.KernelStoreHit = trace.StoreHit()
-		info.StageStats = trace.Stats()
-	}
-	if fb != nil && fb.FellBack {
-		info.FellBack = true
-		info.TraceReady = false
-		if fb.KernelErr != nil {
-			info.FallbackErr = fb.KernelErr.Error()
-		}
-	}
-	res.EngineInfo = info
 }
 
 // Run is a live (or finished) tuning session: a progress stream, a cancel

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -346,55 +347,77 @@ func TestEngineSourceJob(t *testing.T) {
 	}
 }
 
-// The legacy serial path (Parallelism 0) still works through the engine
-// and reports a zero EngineInfo: no trace, no memo.
-func TestEngineLegacySerialPath(t *testing.T) {
-	eng := NewEngine(EngineOptions{})
-	spec := sharedSpec(19)
-	spec.Parallelism = 0
-	spec.PopSize, spec.MaxIterations = 4, 2
-	run, err := eng.Tune(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
+// flakyRecord is a workload whose first run — the engine's trace
+// recording — fails, while every later (direct) run succeeds.
+type flakyRecord struct {
+	workload.Workload
+	ran atomic.Bool
+}
+
+func (f *flakyRecord) Run(st *workload.Stack) error {
+	if f.ran.CompareAndSwap(false, true) {
+		return errors.New("recorder exploded")
 	}
-	res, err := run.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EngineInfo != (EngineInfo{}) {
-		t.Fatalf("legacy path EngineInfo = %+v, want zero", res.EngineInfo)
-	}
+	return f.Workload.Run(st)
 }
 
 // The bug Tune used to have: the error from TraceEvaluator.Prepare was
 // discarded, so a run silently reverting to direct simulation was
-// indistinguishable from a replay run. applyEngineInfo must surface it.
+// indistinguishable from a replay run. RunKernel must surface it, and the
+// fallback it forced, on EngineInfo.
 func TestApplyEngineInfoSurfacesPrepareErr(t *testing.T) {
-	// Neither Workload nor Prog: Prepare must fail.
-	trace := &tuner.TraceEvaluator{Cluster: cluster.CoriHaswell(1, 2)}
-	prepErr := trace.Prepare(ParameterSpace())
-	if prepErr == nil {
-		t.Fatal("want a prepare error from an empty TraceEvaluator")
+	c := cluster.CoriHaswell(1, 8)
+	w := workload.NewMACSio(c.Procs())
+	w.Dumps = 1
+	res, err := tuner.RunKernel(context.Background(), tuner.Config{
+		Space: ParameterSpace(), PopSize: 4, MaxIterations: 2, Seed: 3,
+	}, tuner.Kernel{Workload: &flakyRecord{Workload: w}, Cluster: c, Reps: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	res := &Result{CacheHits: 4, CacheMisses: 6}
-	applyEngineInfo(res, trace, nil, prepErr)
-	if res.EngineInfo.TraceReady {
+	info := res.EngineInfo
+	if info.TraceReady {
 		t.Fatal("TraceReady must be false after a prepare failure")
 	}
-	if !strings.Contains(res.EngineInfo.PrepareErr, "Workload or a Prog") {
-		t.Fatalf("PrepareErr = %q, want the recording error surfaced", res.EngineInfo.PrepareErr)
+	if !strings.Contains(info.PrepareErr, "recorder exploded") {
+		t.Fatalf("PrepareErr = %q, want the recording error surfaced", info.PrepareErr)
 	}
-	if res.EngineInfo.MemoHits != 4 || res.EngineInfo.MemoMisses != 6 {
-		t.Fatalf("memo stats not mirrored: %+v", res.EngineInfo)
+	if !info.FellBack || !strings.Contains(info.FallbackErr, "recorder exploded") {
+		t.Fatalf("fallback not surfaced: %+v", info)
 	}
+	if info.KernelHash != "" {
+		t.Fatalf("KernelHash = %q for a kernel that never recorded", info.KernelHash)
+	}
+	if info.MemoHits != res.CacheHits || info.MemoMisses != res.CacheMisses ||
+		info.MemoHits+info.MemoMisses != res.Evaluations {
+		t.Fatalf("memo stats not mirrored: %+v vs %d/%d of %d",
+			info, res.CacheHits, res.CacheMisses, res.Evaluations)
+	}
+}
 
-	// A mid-run fallback marks the run as not trace-scored too.
-	fb := &tuner.FallbackEvaluator{}
-	fb.FellBack = true
-	fb.KernelErr = errors.New("kernel exploded")
-	res2 := &Result{}
-	applyEngineInfo(res2, nil, fb, nil)
-	if res2.EngineInfo.TraceReady || !res2.EngineInfo.FellBack || res2.EngineInfo.FallbackErr != "kernel exploded" {
-		t.Fatalf("fallback not surfaced: %+v", res2.EngineInfo)
+// Negative sizes used to pass validation: Reps: -1 ran the rep loop zero
+// times and finished "successfully" with an all-zero curve. Every count
+// must be rejected at submission, before a session starts.
+func TestEngineRejectsNegativeCounts(t *testing.T) {
+	eng := NewEngine(EngineOptions{})
+	for _, tc := range []struct {
+		field string
+		set   func(*JobSpec)
+	}{
+		{"Reps", func(s *JobSpec) { s.Reps = -1 }},
+		{"Parallelism", func(s *JobSpec) { s.Parallelism = -2 }},
+		{"PopSize", func(s *JobSpec) { s.PopSize = -4 }},
+		{"MaxIterations", func(s *JobSpec) { s.MaxIterations = -1 }},
+		{"Nodes", func(s *JobSpec) { s.Nodes = -1 }},
+		{"ProcsPerNode", func(s *JobSpec) { s.ProcsPerNode = -8 }},
+	} {
+		spec := sharedSpec(23)
+		tc.set(&spec)
+		if _, err := eng.Tune(context.Background(), spec); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s < 0: err = %v, want a submit error naming the field", tc.field, err)
+		}
+	}
+	if st := eng.Stats(); st.SessionsStarted != 0 {
+		t.Fatalf("rejected jobs must not count as started: %+v", st)
 	}
 }

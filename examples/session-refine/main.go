@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sess, err := tunio.NewSession(agent, tunio.ParameterSpace())
+	sess, err := tunio.NewRefinement(agent, tunio.ParameterSpace())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,8 +37,8 @@ func main() {
 	w.ParticlesPerRank = 128 << 10
 
 	for round := 1; round <= 3; round++ {
-		res, err := sess.Refine(
-			&tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: int64(round)},
+		res, err := sess.Refine(context.Background(),
+			tuner.Kernel{Workload: w, Cluster: c, Reps: 1, Seed: int64(round)},
 			6, 8, int64(round),
 		)
 		if err != nil {

@@ -1,13 +1,15 @@
 // vpic-tune runs the paper's full use-case pipeline on VPIC-IO: extract
 // the I/O kernel from the application's C source with Application I/O
-// Discovery, then tune the I/O stack by repeatedly executing the kernel
-// through the SPMD interpreter on the simulated Cori environment —
-// exactly the DEAP + H5Tuner composition of §III-E.
+// Discovery, then tune the I/O stack with the kernel as the evaluation
+// vehicle on the simulated Cori environment — the DEAP + H5Tuner
+// composition of §III-E. The kernel runs once through the SPMD
+// interpreter to record its I/O trace; every configuration replays it.
 //
 //	go run ./examples/vpic-tune
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,11 +36,11 @@ func main() {
 		len(kernel.MarkedLines), kernel.TotalLines)
 
 	fmt.Println("== step 2: tune using the kernel as the evaluation vehicle ==")
-	res, err := tuner.Run(tuner.Config{
+	res, err := tuner.RunKernel(context.Background(), tuner.Config{
 		Space:   params.Space(),
 		PopSize: 8, MaxIterations: 15, Seed: 11,
 		Stopper: tuner.NewHeuristicStopper(),
-	}, &tuner.CSourceEvaluator{Prog: kernel.File, Cluster: c, Reps: 1, Seed: 11})
+	}, tuner.Kernel{Prog: kernel.File, Cluster: c, Reps: 1, Seed: 11})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -80,7 +81,7 @@ func TestFallbackEvaluatorRevertsToFullApp(t *testing.T) {
 	primary := &failingEvaluator{}
 	fb := &tuner.FallbackEvaluator{
 		Primary:  primary,
-		Fallback: &tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 5},
+		Fallback: &tuner.SeededWorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 5},
 	}
 	a := params.DefaultAssignment(params.Space())
 	perf, cost, err := fb.Evaluate(a, 0)
@@ -99,12 +100,12 @@ func TestFallbackEvaluatorRevertsToFullApp(t *testing.T) {
 		t.Fatalf("primary called %d times after falling back, want 1", primary.calls)
 	}
 	// a full pipeline over a broken kernel completes via the fallback
-	res, err := tuner.Run(tuner.Config{
+	res, err := tuner.RunBatch(context.Background(), tuner.Config{
 		Space: params.Space(), PopSize: 4, MaxIterations: 3, Seed: 6,
-	}, &tuner.FallbackEvaluator{
+	}, tuner.AdaptEvaluator(&tuner.FallbackEvaluator{
 		Primary:  &failingEvaluator{},
-		Fallback: &tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 6},
-	})
+		Fallback: &tuner.SeededWorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 6},
+	}))
 	if err != nil || res.BestPerf <= 0 {
 		t.Fatalf("pipeline over broken kernel: %v, %v", res, err)
 	}
@@ -139,11 +140,11 @@ func TestSessionRefinesAcrossRounds(t *testing.T) {
 	c := cluster.CoriHaswell(2, 8)
 	w := workload.NewMACSio(c.Procs())
 	w.Dumps = 3
-	mkEval := func(seed int64) tuner.Evaluator {
-		return &tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: seed}
+	kernel := func(seed int64) tuner.Kernel {
+		return tuner.Kernel{Workload: w, Cluster: c, Reps: 1, Seed: seed}
 	}
 
-	r1, err := sess.Refine(mkEval(1), 6, 6, 1)
+	r1, err := sess.Refine(context.Background(), kernel(1), 6, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestSessionRefinesAcrossRounds(t *testing.T) {
 	}
 	firstBest := sess.BestPerf
 
-	r2, err := sess.Refine(mkEval(2), 6, 6, 2)
+	r2, err := sess.Refine(context.Background(), kernel(2), 6, 6, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

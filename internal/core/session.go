@@ -46,25 +46,14 @@ func NewSession(agent *TunIO, space []params.Parameter) (*Session, error) {
 // Rounds returns the number of completed Refine rounds.
 func (s *Session) Rounds() int { return s.rounds }
 
-// Refine runs one tuning round of at most maxIterations generations with
-// the given evaluator, resuming from the session's best configuration.
-// The round's curve is appended to the session history with time carried
-// over; Best/BestPerf update if the round improved on them.
-func (s *Session) Refine(eval tuner.Evaluator, popSize, maxIterations int, seed int64) (*tuner.Result, error) {
-	if eval == nil {
-		return nil, fmt.Errorf("core: nil evaluator")
-	}
-	return s.RefineBatch(context.Background(), tuner.AdaptEvaluator(eval), popSize, maxIterations, seed)
-}
-
-// RefineBatch is Refine over the batch evaluation engine: the round's
-// generations are handed to eval as batches (fan out with tuner.Pool,
-// memoize with tuner.Memo), and ctx cancels the round between
-// evaluations. Refine is equivalent to RefineBatch with a background
-// context and the serial adapter.
-func (s *Session) RefineBatch(ctx context.Context, eval tuner.BatchEvaluator, popSize, maxIterations int, seed int64) (*tuner.Result, error) {
+// Refine runs one tuning round of at most maxIterations generations on
+// the kernel, resuming from the session's best configuration; ctx
+// cancels the round between evaluations. The round's curve is appended
+// to the session history with time carried over; Best/BestPerf update if
+// the round improved on them.
+func (s *Session) Refine(ctx context.Context, k tuner.Kernel, popSize, maxIterations int, seed int64) (*tuner.Result, error) {
 	s.Agent.Reset()
-	res, err := tuner.RunBatch(ctx, tuner.Config{
+	res, err := tuner.RunKernel(ctx, tuner.Config{
 		Space:         s.Space,
 		PopSize:       popSize,
 		MaxIterations: maxIterations,
@@ -72,7 +61,7 @@ func (s *Session) RefineBatch(ctx context.Context, eval tuner.BatchEvaluator, po
 		Stopper:       s.Agent.Stopper,
 		Picker:        s.Agent.Picker,
 		StartFrom:     s.Best,
-	}, eval)
+	}, k)
 	if err != nil {
 		return nil, err
 	}

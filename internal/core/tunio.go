@@ -1,10 +1,7 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
-	"math/rand"
 
 	"tunio/internal/cluster"
 	"tunio/internal/discovery"
@@ -68,7 +65,8 @@ func DiscoverIO(sourceCode string, options discovery.Options) (*discovery.Kernel
 	return discovery.Discover(sourceCode, options)
 }
 
-// TrainConfig configures offline training of a full TunIO instance.
+// TrainConfig configures offline training of a full TunIO instance; the
+// staged pipeline in internal/train runs it.
 type TrainConfig struct {
 	// Space is the parameter space to tune (params.Space() by default).
 	Space []params.Parameter
@@ -89,49 +87,4 @@ type TrainConfig struct {
 	StopperHorizon int
 	// Seed drives everything.
 	Seed int64
-}
-
-func (c *TrainConfig) fillDefaults() {
-	if c.Space == nil {
-		c.Space = params.Space()
-	}
-	if c.Cluster == nil {
-		c.Cluster = cluster.CoriHaswell(4, 32)
-	}
-	if c.Kernels == nil {
-		c.Kernels = DefaultSweepKernels(c.Cluster.Procs())
-	}
-	if c.ExtraRandomRuns == 0 {
-		c.ExtraRandomRuns = 20
-	}
-	if c.StopperEpochs == 0 {
-		c.StopperEpochs = 40
-	}
-	if c.PickerEpochs == 0 {
-		c.PickerEpochs = 30
-	}
-}
-
-// Train performs TunIO's full offline training (§III-C, §III-D): a
-// parameter sweep over the representative I/O kernels feeds the PCA
-// impact analysis and the Smart Configuration Generation agent; the Early
-// Stopping agent trains on synthetic noisy log curves. Both components
-// keep learning online once deployed.
-func Train(cfg TrainConfig) (*TunIO, error) {
-	cfg.fillDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	sweep, err := Sweep(context.Background(), cfg.Kernels, cfg.Cluster, cfg.Space, cfg.Seed+1, cfg.ExtraRandomRuns)
-	if err != nil {
-		return nil, fmt.Errorf("core: offline sweep: %w", err)
-	}
-	picker, err := TrainSmartPicker(PickerConfig{Seed: cfg.Seed + 2}, sweep, cfg.PickerEpochs, rng)
-	if err != nil {
-		return nil, fmt.Errorf("core: picker training: %w", err)
-	}
-	stopper, err := TrainEarlyStopper(StopperConfig{Seed: cfg.Seed + 3, Horizon: cfg.StopperHorizon}, cfg.StopperEpochs, rng)
-	if err != nil {
-		return nil, fmt.Errorf("core: stopper training: %w", err)
-	}
-	return &TunIO{Stopper: stopper, Picker: picker}, nil
 }

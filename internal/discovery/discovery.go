@@ -49,19 +49,6 @@ type Options struct {
 	// cannot reach any I/O use survive — while replaying the same I/O
 	// request stream.
 	Heuristic bool
-	// PreciseSlice forces the analysis package's CFG/def-use backward
-	// slicer.
-	//
-	// Deprecated: precise slicing is the default; the field remains for
-	// callers predating the flip and overrides Heuristic when both are
-	// set. Use Heuristic to opt into the fixpoint marking loop.
-	PreciseSlice bool
-}
-
-// usePrecise resolves the slicer choice: precise by default, heuristic on
-// request, with the legacy PreciseSlice field forcing precise.
-func (o Options) usePrecise() bool {
-	return !o.Heuristic || o.PreciseSlice
 }
 
 // Kernel is the discovery output.
@@ -195,7 +182,7 @@ func Discover(source string, opts Options) (*Kernel, error) {
 		markedFns:  map[string]bool{},
 	}
 	m.collect()
-	if opts.usePrecise() {
+	if !opts.Heuristic {
 		// precise path: slice on def-use chains instead of name marking
 		keep := analysis.Slice(file, analysis.SliceOptions{
 			IsIOCall:  opts.isIOCall,

@@ -69,9 +69,13 @@ func evalBench(cfg Config, names []string) (*EvalBenchResult, error) {
 		if !ok {
 			return nil, fmt.Errorf("evalbench: %s has no C source", name)
 		}
-		prog, err := csrc.Parse(cw.CSource())
-		if err != nil {
-			return nil, fmt.Errorf("evalbench: %s: %w", name, err)
+		// Each engine gets its own AST: the direct evaluator folds its
+		// program in place, the traced one records the program as written.
+		var progs [2]*csrc.File
+		for i := range progs {
+			if progs[i], err = csrc.Parse(cw.CSource()); err != nil {
+				return nil, fmt.Errorf("evalbench: %s: %w", name, err)
+			}
 		}
 
 		// The population mirrors a converging GA's: each genome is 1-3
@@ -92,11 +96,11 @@ func evalBench(cfg Config, names []string) (*EvalBenchResult, error) {
 			genomes[i] = a
 		}
 
-		// Both engines use the legacy per-call seed counter, so scoring the
-		// same genomes in the same order compares bit-identical work.
-		direct := &tuner.CSourceEvaluator{Prog: prog, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 500}
-		traced := &tuner.TraceEvaluator{Prog: prog, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 500,
-			Legacy: true, KernelStyle: true}
+		// Both engines seed each evaluation by SeedFor, so scoring the same
+		// genomes compares bit-identical work. The direct baseline is the
+		// constant-folded interpreter, RunKernel's fallback.
+		direct := &tuner.SeededCSourceEvaluator{Prog: progs[0], Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 500}
+		traced := &tuner.TraceEvaluator{Prog: progs[1], Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 500}
 
 		row := EvalRow{Workload: name, Identical: true}
 		dPerf, dCost, err := scorePopulation(direct, genomes, &row.Direct)

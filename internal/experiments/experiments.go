@@ -13,6 +13,7 @@ import (
 
 	"tunio/internal/cluster"
 	"tunio/internal/core"
+	"tunio/internal/train"
 )
 
 // Scale selects experiment sizing.
@@ -94,7 +95,7 @@ func Agent(cfg Config) (*core.TunIO, error) {
 	if a, ok := agentCache[key]; ok {
 		return a, nil
 	}
-	tc := core.TrainConfig{Seed: cfg.Seed, StopperHorizon: cfg.endToEndIterations()}
+	tc := train.Config{Seed: cfg.Seed, StopperHorizon: cfg.endToEndIterations()}
 	if cfg.Scale == Smoke {
 		// lighter training for smoke runs; the sweep still runs at the
 		// component-test scale so impact rankings transfer to deployment
@@ -103,7 +104,7 @@ func Agent(cfg Config) (*core.TunIO, error) {
 		tc.StopperEpochs = 25
 		tc.PickerEpochs = 15
 	}
-	a, err := core.Train(tc)
+	a, err := train.Train(tc)
 	if err != nil {
 		return nil, err
 	}

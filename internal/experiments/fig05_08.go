@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -98,12 +99,12 @@ func Fig08(cfg Config) (*Fig08Result, error) {
 		{"I/O kernel", kernel.File, kernel.LoopScale, len(kernel.MarkedLines), &out.Kernel},
 		{"kernel + loop reduction (1%)", reduced.File, reduced.LoopScale, len(reduced.MarkedLines), &out.Reduced},
 	} {
-		res, err := tuner.Run(tuner.Config{
+		res, err := tuner.RunKernel(context.Background(), tuner.Config{
 			Space:         params.Space(),
 			PopSize:       cfg.popSize(),
 			MaxIterations: cfg.maxIterations(),
 			Seed:          cfg.Seed + 100, // same seed: identical search trajectory
-		}, &tuner.CSourceEvaluator{Prog: v.prog, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + int64(i)})
+		}, tuner.Kernel{Prog: v.prog, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + int64(i)})
 		if err != nil {
 			return nil, fmt.Errorf("fig08 %s: %w", v.name, err)
 		}

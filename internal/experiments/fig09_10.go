@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -54,7 +55,7 @@ func Fig09(cfg Config) (*Fig09Result, error) {
 			agent.Picker.Reset()
 			tc.Picker = agent.Picker
 		}
-		return tuner.Run(tc, &tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 200})
+		return tuner.RunKernel(context.Background(), tc, tuner.Kernel{Workload: w, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 200})
 	}
 
 	with, err := run(true)
@@ -139,12 +140,12 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	full, err := tuner.Run(tuner.Config{
+	full, err := tuner.RunKernel(context.Background(), tuner.Config{
 		Space:         params.Space(),
 		PopSize:       cfg.popSize(),
 		MaxIterations: cfg.maxIterations(),
 		Seed:          cfg.Seed + 300,
-	}, &tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 300})
+	}, tuner.Kernel{Workload: w, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 300})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -21,7 +22,7 @@ type SliceVariant struct {
 	DiscoveryMs     float64 // wall time of Discover (mean of discoveryRuns)
 	KernelLines     int     // marked lines kept in the kernel
 	TotalLines      int     // formatted source lines
-	EvalMs          float64 // wall time of one configuration evaluation
+	EvalMs          float64 // wall time of one direct (interpreted) evaluation
 	ReplayIdentical bool    // kernel replays the app's exact I/O stream
 	PeakRoTI        float64
 	FinalPerf       float64 // MB/s after the tuning run
@@ -36,9 +37,9 @@ type SliceRow struct {
 }
 
 // SliceBenchResult is the precise-vs-heuristic slicing benchmark backing
-// the PreciseSlice default promotion: for every paper workload it measures
-// discovery cost, kernel size, evaluation cost, replay fidelity, and the
-// tuning outcome (RoTI, final perf) under both strategies.
+// precise slicing as the discovery default: for every paper workload it
+// measures discovery cost, kernel size, evaluation cost, replay fidelity,
+// and the tuning outcome (RoTI, final perf) under both strategies.
 type SliceBenchResult struct {
 	Rows []SliceRow
 }
@@ -114,25 +115,26 @@ func sliceVariant(cfg Config, c *cluster.Cluster, src string, orig *replay.Trace
 	}
 	dst.ReplayIdentical = reflect.DeepEqual(orig.Events, trace.Events)
 
-	eval := &tuner.CSourceEvaluator{Prog: k.File, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 300}
-	start = time.Now()
-	if _, _, err := eval.Evaluate(params.DefaultAssignment(params.Space()), 0); err != nil {
-		return err
-	}
-	dst.EvalMs = float64(time.Since(start).Microseconds()) / 1000
-
-	res, err := tuner.Run(tuner.Config{
+	res, err := tuner.RunKernel(context.Background(), tuner.Config{
 		Space:         params.Space(),
 		PopSize:       cfg.popSize(),
 		MaxIterations: cfg.maxIterations(),
 		Seed:          cfg.Seed + 300, // same trajectory for both variants
-	}, eval)
+	}, tuner.Kernel{Prog: k.File, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 300})
 	if err != nil {
 		return err
 	}
 	dst.PeakRoTI, _, _ = res.Curve.PeakRoTI()
 	dst.FinalPerf = res.Curve.FinalBest()
 	dst.TotalMin = res.Curve.TotalMinutes()
+
+	// Timed after tuning: the direct evaluator folds the program in place.
+	eval := &tuner.SeededCSourceEvaluator{Prog: k.File, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 300}
+	start = time.Now()
+	if _, _, err := eval.Evaluate(params.DefaultAssignment(params.Space()), 0); err != nil {
+		return err
+	}
+	dst.EvalMs = float64(time.Since(start).Microseconds()) / 1000
 	return nil
 }
 

@@ -36,6 +36,15 @@ func reportsEqual(t *testing.T, label string, live, staged *darshan.Report) {
 	}
 }
 
+func hasCompute(t *Trace) bool {
+	for _, ev := range t.Events {
+		if ev.Kind == EvCompute {
+			return true
+		}
+	}
+	return false
+}
+
 // TestStagedExecMatchesLiveRun proves the staged pipeline is bit-identical
 // to running the recorded workload live: same clock, same counters, for
 // every workload and a spread of configurations exercising each stage's
@@ -52,11 +61,26 @@ func TestStagedExecMatchesLiveRun(t *testing.T) {
 			params.StripingFactor: 3, params.MDCConfig: 3, params.ChunkCache: 0}),
 	}
 
+	type kernel struct {
+		name string
+		w    workload.Workload
+	}
+	var kernels []kernel
 	for _, name := range []string{"vpic", "hacc", "flash", "bdcats", "macsio", "ior"} {
 		w, err := workload.ByName(name, c.Procs())
 		if err != nil {
 			t.Fatalf("ByName(%s): %v", name, err)
 		}
+		kernels = append(kernels, kernel{name, w})
+	}
+	// Fig 11's full-application BD-CATS: clustering compute between the
+	// read and write phases, recorded as compute events.
+	compute := workload.NewBDCATS(c.Procs())
+	compute.ComputeFlops = 4e10
+	kernels = append(kernels, kernel{"bdcats+compute", compute})
+
+	for _, k := range kernels {
+		name, w := k.name, k.w
 		recStack, err := workload.BuildStack(c, params.DefaultAssignment(params.Space()).Settings(), 1)
 		if err != nil {
 			t.Fatalf("BuildStack: %v", err)
@@ -64,6 +88,9 @@ func TestStagedExecMatchesLiveRun(t *testing.T) {
 		trace, err := Record(w, recStack)
 		if err != nil {
 			t.Fatalf("Record(%s): %v", name, err)
+		}
+		if w == compute && !hasCompute(trace) {
+			t.Fatalf("%s: no compute event recorded", name)
 		}
 		cache := NewSharedStageCache()
 		cache.Register(name, trace)

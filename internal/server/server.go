@@ -55,10 +55,6 @@ type Options struct {
 	TrainSeed int64
 	// MaxBodyBytes caps request bodies (default 8 MiB).
 	MaxBodyBytes int64
-	// DefaultParallelism applies to jobs that do not set parallelism
-	// (default 1: served jobs always use the batch engine, which is what
-	// shares the engine caches).
-	DefaultParallelism int
 }
 
 // Server is the HTTP handler. Create with New.
@@ -105,9 +101,6 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxBodyBytes == 0 {
 		opts.MaxBodyBytes = 8 << 20
 	}
-	if opts.DefaultParallelism == 0 {
-		opts.DefaultParallelism = 1
-	}
 	s := &Server{
 		engine: opts.Engine,
 		opts:   opts,
@@ -149,7 +142,6 @@ type JobRequest struct {
 	Reps          int              `json:"reps,omitempty"`
 	Seed          int64            `json:"seed,omitempty"`
 	Parallelism   int              `json:"parallelism,omitempty"`
-	NoTrace       bool             `json:"no_trace,omitempty"`
 	Fix           map[string]int64 `json:"fix,omitempty"`
 
 	// Drift attaches a time-varying machine schedule (regimes of
@@ -332,7 +324,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Reps:          req.Reps,
 		Seed:          req.Seed,
 		Parallelism:   req.Parallelism,
-		NoTrace:       req.NoTrace,
 		Fix:           req.Fix,
 		Drift:         req.Drift,
 	}
@@ -349,9 +340,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			GA:         o.GA,
 			Oracle:     o.Oracle,
 		}
-	}
-	if spec.Parallelism == 0 {
-		spec.Parallelism = s.opts.DefaultParallelism
 	}
 	switch req.Pipeline {
 	case "", "hstuner":

@@ -459,3 +459,34 @@ func TestServerErrors(t *testing.T) {
 		t.Fatalf("POST /v1/stats = %d, want 405", resp.StatusCode)
 	}
 }
+
+// A negative count is a bad request, not a job: "reps": -1 used to be
+// accepted and finish with an all-zero curve.
+func TestServerRejectsNegativeCounts(t *testing.T) {
+	ts := newTestServer(t, tunio.EngineOptions{})
+	for _, field := range []string{"reps", "parallelism", "pop_size", "max_iterations", "nodes", "procs_per_node"} {
+		body := `{"workload": "macsio", "` + field + `": -1}`
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s = %d (%s), want 400", body, resp.StatusCode, msg)
+		}
+	}
+	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st server.StatsResponse
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SessionsStarted != 0 {
+		t.Fatalf("rejected jobs started sessions: %+v", st.EngineStats)
+	}
+}

@@ -176,8 +176,7 @@ type surrogatePayload struct {
 	PerfScale float64         `json:"perf_scale"`
 }
 
-// Train runs the full pipeline in memory and returns the trained agent —
-// the drop-in replacement for core.Train on the replay engine.
+// Train runs the full pipeline in memory and returns the trained agent.
 func Train(cfg Config) (*core.TunIO, error) {
 	res, err := Run(context.Background(), cfg)
 	if err != nil {

@@ -48,11 +48,9 @@ func (e *BatchError) Error() string {
 func (e *BatchError) Unwrap() error { return e.Err }
 
 // AdaptEvaluator lifts a per-configuration Evaluator into a BatchEvaluator
-// that evaluates strictly serially, in batch order. It preserves legacy
-// evaluator semantics exactly (stateful evaluators see the same call
-// sequence the serial pipeline produced), which makes it the back-compat
-// shim behind Run. Evaluators that already implement BatchEvaluator are
-// returned unchanged.
+// that evaluates strictly serially, in batch order, so a stateful
+// evaluator sees one fixed call sequence. Evaluators that already
+// implement BatchEvaluator are returned unchanged.
 func AdaptEvaluator(e Evaluator) BatchEvaluator {
 	if be, ok := e.(BatchEvaluator); ok {
 		return be

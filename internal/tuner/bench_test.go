@@ -25,11 +25,11 @@ func benchProg(b *testing.B, c *cluster.Cluster) *csrc.File {
 	return prog
 }
 
-// BenchmarkEvalDirectInterp is the pre-replay cost of scoring one genome:
-// a full SPMD interpretation of the kernel per rep.
+// BenchmarkEvalDirectInterp is the direct cost of scoring one genome: a
+// full SPMD interpretation of the (constant-folded) kernel per rep.
 func BenchmarkEvalDirectInterp(b *testing.B) {
 	c := cluster.CoriHaswell(2, 8)
-	e := &CSourceEvaluator{Prog: benchProg(b, c), Cluster: c, Reps: 1, Seed: 3}
+	e := &SeededCSourceEvaluator{Prog: benchProg(b, c), Cluster: c, Reps: 1, Seed: 3}
 	a := params.DefaultAssignment(params.Space())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -45,8 +45,7 @@ func BenchmarkEvalDirectInterp(b *testing.B) {
 // wire-plan replay on a pooled stack.
 func BenchmarkEvalTraceReplay(b *testing.B) {
 	c := cluster.CoriHaswell(2, 8)
-	e := &TraceEvaluator{Prog: benchProg(b, c), Cluster: c, Reps: 1, Seed: 3,
-		Legacy: true, KernelStyle: true}
+	e := &TraceEvaluator{Prog: benchProg(b, c), Cluster: c, Reps: 1, Seed: 3}
 	a := params.DefaultAssignment(params.Space())
 	if _, _, err := e.Evaluate(a, 0); err != nil {
 		b.Fatal(err)

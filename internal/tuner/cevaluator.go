@@ -10,56 +10,20 @@ import (
 	"tunio/internal/workload"
 )
 
-// CSourceEvaluator measures configurations by interpreting a C program
-// (a full application or a discovered I/O kernel) SPMD on a fresh
-// simulated stack — the evaluation path the paper's Configuration
-// Evaluation step uses once Application I/O Discovery has produced a
-// kernel binary.
-type CSourceEvaluator struct {
-	Prog    *csrc.File
-	Cluster *cluster.Cluster
-	Reps    int   // default 3
-	Seed    int64 // base seed
-	evals   int
-}
-
-// Evaluate implements Evaluator.
-func (e *CSourceEvaluator) Evaluate(a *params.Assignment, iteration int) (float64, float64, error) {
-	reps := e.Reps
-	if reps == 0 {
-		reps = 3
-	}
-	e.evals++
-	var perfSum, minutes float64
-	for r := 0; r < reps; r++ {
-		seed := e.Seed + int64(e.evals)*104729 + int64(iteration)*1299709 + int64(r)*7919
-		st, err := workload.BuildStack(e.Cluster, a.Settings(), seed)
-		if err != nil {
-			return 0, 0, err
-		}
-		if _, err := cinterp.Run(e.Prog, st.Lib); err != nil {
-			return 0, 0, err
-		}
-		perf, _ := workload.Perf(st.Sim.Report)
-		perfSum += perf
-		minutes += st.Sim.Now() / 60
-	}
-	return perfSum / float64(reps), minutes, nil
-}
-
-// SeededCSourceEvaluator is the deterministic, concurrency-safe form of
-// CSourceEvaluator for the batch engine: seeds derive from (iteration,
-// genome) via SeedFor, and — unless NoFold is set — the program is run
+// SeededCSourceEvaluator measures configurations by interpreting a C
+// program (a full application or a discovered I/O kernel) SPMD on fresh
+// simulated stacks — the evaluation the paper's Configuration Evaluation
+// step runs once Application I/O Discovery has produced a kernel. Seeds
+// derive from (iteration, genome) via SeedFor, and the program is run
 // through the interpreter's reaching-definitions constant-folding pass
-// once, at kernel-build time, so each of the thousands of evaluations in
-// a tuning run interprets a cheaper program.
+// once, before the first evaluation, so each of the thousands of
+// evaluations in a tuning run interprets a cheaper program. It is
+// RunKernel's direct-simulation fallback for C kernels.
 type SeededCSourceEvaluator struct {
 	Prog    *csrc.File
 	Cluster *cluster.Cluster
 	Reps    int   // default 3
 	Seed    int64 // base seed
-	// NoFold disables the constant-folding pre-pass.
-	NoFold bool
 
 	foldOnce sync.Once
 }
@@ -67,9 +31,7 @@ type SeededCSourceEvaluator struct {
 // Evaluate implements Evaluator. Safe for concurrent use once the first
 // call has completed the (synchronized) fold pre-pass.
 func (e *SeededCSourceEvaluator) Evaluate(a *params.Assignment, iteration int) (float64, float64, error) {
-	if !e.NoFold {
-		e.foldOnce.Do(func() { cinterp.Fold(e.Prog) })
-	}
+	e.foldOnce.Do(func() { cinterp.Fold(e.Prog) })
 	reps := e.Reps
 	if reps == 0 {
 		reps = 3

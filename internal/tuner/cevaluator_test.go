@@ -1,6 +1,8 @@
 package tuner
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"tunio/internal/cluster"
@@ -19,7 +21,7 @@ func TestCSourceEvaluator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := &CSourceEvaluator{Prog: prog, Cluster: c, Reps: 2, Seed: 3}
+	eval := &SeededCSourceEvaluator{Prog: prog, Cluster: c, Reps: 2, Seed: 3}
 	a := params.DefaultAssignment(params.Space())
 	perf, cost, err := eval.Evaluate(a, 0)
 	if err != nil {
@@ -29,7 +31,7 @@ func TestCSourceEvaluator(t *testing.T) {
 		t.Fatalf("perf %v cost %v", perf, cost)
 	}
 	// 2 reps accumulate cost: a 1-rep evaluation must be cheaper
-	one := &CSourceEvaluator{Prog: prog, Cluster: c, Reps: 1, Seed: 3}
+	one := &SeededCSourceEvaluator{Prog: prog, Cluster: c, Reps: 1, Seed: 3}
 	_, cost1, err := one.Evaluate(a, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +48,7 @@ func TestCSourceEvaluatorPropagatesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := &CSourceEvaluator{Prog: prog, Cluster: c, Reps: 1, Seed: 1}
+	eval := &SeededCSourceEvaluator{Prog: prog, Cluster: c, Reps: 1, Seed: 1}
 	if _, _, err := eval.Evaluate(params.DefaultAssignment(params.Space()), 0); err == nil {
 		t.Fatal("broken program: want error")
 	}
@@ -62,14 +64,17 @@ func TestRunWithCSourceEvaluatorPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
+	res, err := RunKernel(context.Background(), Config{
 		Space: params.Space(), PopSize: 4, MaxIterations: 3, Seed: 4,
-	}, &CSourceEvaluator{Prog: prog, Cluster: c, Reps: 1, Seed: 4})
+	}, Kernel{Prog: prog, Cluster: c, Reps: 1, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.BestPerf <= 0 {
 		t.Fatal("no perf measured through the interpreter")
+	}
+	if info := res.EngineInfo; !info.TraceReady || !strings.HasPrefix(info.KernelHash, "sig:") {
+		t.Fatalf("C kernel not scored by signature-keyed replay: %+v", info)
 	}
 }
 
@@ -88,7 +93,7 @@ func TestRunStartFrom(t *testing.T) {
 		}
 		return 100 + float64(a.Genome()[0]), 1, nil
 	})
-	res, err := Run(Config{
+	res, err := runSerial(Config{
 		Space: space, PopSize: 4, MaxIterations: 3, Seed: 5, StartFrom: warm,
 	}, eval)
 	if err != nil {
@@ -105,7 +110,7 @@ func TestRunStartFrom(t *testing.T) {
 func TestRunStopsImmediatelyWithAggressiveStopper(t *testing.T) {
 	// A stopper that fires on the first opportunity: the pipeline must
 	// stop after iteration 1 with a valid result.
-	res, err := Run(Config{
+	res, err := runSerial(Config{
 		Space: params.Space(), PopSize: 4, MaxIterations: 20, Seed: 6,
 		Stopper: &BudgetStopper{MaxIterations: 1},
 	}, FuncEvaluator(func(a *params.Assignment, _ int) (float64, float64, error) {
@@ -128,7 +133,7 @@ func TestRunEvaluatorErrorSurfacesWithContext(t *testing.T) {
 		}
 		return 1, 1, nil
 	})
-	if _, err := Run(Config{Space: params.Space(), PopSize: 4, MaxIterations: 5, Seed: 7}, eval); err == nil {
+	if _, err := runSerial(Config{Space: params.Space(), PopSize: 4, MaxIterations: 5, Seed: 7}, eval); err == nil {
 		t.Fatal("want error")
 	}
 }

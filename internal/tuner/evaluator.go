@@ -6,40 +6,13 @@ import (
 	"tunio/internal/workload"
 )
 
-// WorkloadEvaluator measures configurations by executing a workload on a
-// fresh simulated stack, averaging Reps runs per configuration (3 in the
-// paper, to mitigate platform volatility). The time of all runs counts
-// toward the tuning investment.
-type WorkloadEvaluator struct {
-	Workload workload.Workload
-	Cluster  *cluster.Cluster
-	Reps     int   // default 3
-	Seed     int64 // base seed; evaluation seeds derive from it
-	evals    int
-}
-
-// Evaluate implements Evaluator.
-func (e *WorkloadEvaluator) Evaluate(a *params.Assignment, iteration int) (float64, float64, error) {
-	reps := e.Reps
-	if reps == 0 {
-		reps = 3
-	}
-	e.evals++
-	seed := e.Seed + int64(e.evals)*104729 + int64(iteration)*1299709
-	res, err := workload.ExecuteAveraged(e.Workload, e.Cluster, a.Settings(), seed, reps)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.Perf, res.Runtime / 60, nil
-}
-
-// SeededWorkloadEvaluator is the deterministic, concurrency-safe form of
-// WorkloadEvaluator for the batch engine: per-evaluation seeds derive from
-// (iteration, genome) via SeedFor instead of a shared call counter, so the
-// same configuration measured at the same iteration yields the same
-// result no matter which worker runs it or in what order. Wrap it in a
-// Pool (for parallelism) and a Memo (to skip re-simulating repeated
-// genomes).
+// SeededWorkloadEvaluator measures configurations by executing a workload
+// on fresh simulated stacks, averaging Reps runs per configuration (3 in
+// the paper, to mitigate platform volatility); the time of all runs
+// counts toward the tuning investment. Per-evaluation seeds derive from
+// (iteration, genome) via SeedFor, so the same configuration measured at
+// the same iteration yields the same result no matter which worker runs
+// it or in what order. It is RunKernel's direct-simulation fallback.
 type SeededWorkloadEvaluator struct {
 	Workload workload.Workload
 	Cluster  *cluster.Cluster

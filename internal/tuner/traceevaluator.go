@@ -22,8 +22,8 @@ import (
 // as a live run, so scores are bit-identical to the live evaluators' — the
 // interpreter and workload logic just leave the inner loop.
 //
-// Safe for concurrent use (unless Legacy is set): workers share the stage
-// cache and recycle stacks and runtimes through pools.
+// Safe for concurrent use: workers share the stage cache and recycle
+// stacks and runtimes through pools.
 type TraceEvaluator struct {
 	// Workload or Prog selects the kernel; exactly one must be set.
 	Workload workload.Workload
@@ -32,18 +32,6 @@ type TraceEvaluator struct {
 	Cluster *cluster.Cluster
 	Reps    int   // default 3
 	Seed    int64 // base seed
-
-	// Legacy reproduces the serial evaluators' call-counter seed
-	// derivation (CSourceEvaluator / WorkloadEvaluator). It makes the
-	// evaluator order-dependent and single-goroutine, so leave it unset
-	// with the batch engine, which expects SeedFor-derived seeds.
-	Legacy bool
-	// KernelStyle selects the C-kernel evaluators' averaging arithmetic
-	// (perf summed then divided, minutes accumulated per rep) instead of
-	// the workload evaluators' (per-rep divided perf, runtime divided
-	// once). The results differ only in floating-point rounding; set it to
-	// match whichever evaluator curves are being compared against.
-	KernelStyle bool
 
 	// Shared, when non-nil, is a (typically process-global) multi-kernel
 	// stage cache shared with other evaluators: stage artifacts are read
@@ -67,7 +55,6 @@ type TraceEvaluator struct {
 	view     *replay.CacheView
 	stacks   *workload.StackPool
 	rts      sync.Pool // *replay.Runtime
-	evals    int       // Legacy seed counter
 	kernKey  string    // signature- or trace-derived kernel content hash
 	storeHit bool      // trace served from Store instead of recorded
 }
@@ -178,13 +165,7 @@ func (e *TraceEvaluator) Evaluate(a *params.Assignment, iteration int) (float64,
 	if reps == 0 {
 		reps = 3
 	}
-	var base int64
-	if e.Legacy {
-		e.evals++
-		base = e.Seed + int64(e.evals)*104729 + int64(iteration)*1299709
-	} else {
-		base = SeedFor(e.Seed, iteration, a)
-	}
+	base := SeedFor(e.Seed, iteration, a)
 	s := a.Settings()
 	wp, err := e.view.WireFor(a, s, e.Cluster.ProcsPerNode)
 	if err != nil {
@@ -196,6 +177,9 @@ func (e *TraceEvaluator) Evaluate(a *params.Assignment, iteration int) (float64,
 	}
 	defer e.rts.Put(rt)
 
+	// Average the way the matching direct evaluator does, so scores stay
+	// bit-identical: a C kernel as SeededCSourceEvaluator (perf summed
+	// then divided, minutes per rep), a workload as ExecuteAveraged.
 	var perfSum, minutes, runtime float64
 	for r := 0; r < reps; r++ {
 		st, err := e.stacks.Get(s, base+int64(r)*7919)
@@ -206,7 +190,7 @@ func (e *TraceEvaluator) Evaluate(a *params.Assignment, iteration int) (float64,
 			return 0, 0, err
 		}
 		perf, _ := workload.Perf(st.Sim.Report)
-		if e.KernelStyle {
+		if e.Prog != nil {
 			perfSum += perf
 			minutes += st.Sim.Now() / 60
 		} else {
@@ -215,7 +199,7 @@ func (e *TraceEvaluator) Evaluate(a *params.Assignment, iteration int) (float64,
 		}
 		e.stacks.Put(st)
 	}
-	if e.KernelStyle {
+	if e.Prog != nil {
 		return perfSum / float64(reps), minutes, nil
 	}
 	return perfSum, runtime / 60, nil

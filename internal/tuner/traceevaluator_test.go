@@ -1,7 +1,7 @@
 package tuner
 
 import (
-	"reflect"
+	"context"
 	"testing"
 
 	"tunio/internal/cluster"
@@ -30,38 +30,66 @@ func shrinkWorkload(w workload.Workload) {
 }
 
 // TestTraceEvaluatorMatchesCSourceCurves proves the equivalence the staged
-// engine promises: a full tuning run scored by trace replay of the
-// interpreted C kernel produces a bit-identical curve to one that
-// re-interprets the kernel for every evaluation, on all five workloads.
+// engine promises: a full RunKernel tuning run, scored by trace replay of
+// the kernel, produces a bit-identical curve to one that simulates it
+// directly for every evaluation — on all five workloads and on BD-CATS
+// with the compute phase Fig 11's full application carries, in both the
+// Go workload form and the interpreted C form.
 func TestTraceEvaluatorMatchesCSourceCurves(t *testing.T) {
 	c := cluster.CoriHaswell(1, 8)
+	ctx := context.Background()
+	compute := workload.NewBDCATS(c.Procs())
+	compute.ParticlesPerRank = 16 << 10
+	compute.ComputeFlops = 4e10
+	kernels := map[string]workload.Workload{"bdcats+compute": compute}
 	for _, name := range []string{"vpic", "hacc", "flash", "bdcats", "macsio"} {
 		w, err := workload.ByName(name, c.Procs())
 		if err != nil {
 			t.Fatal(err)
 		}
 		shrinkWorkload(w)
-		prog, err := csrc.Parse(w.(workload.HasCSource).CSource())
+		kernels[name] = w
+	}
+	cfg := Config{Space: params.Space(), PopSize: 4, MaxIterations: 3, Seed: 11}
+	for name, w := range kernels {
+		src := w.(workload.HasCSource).CSource()
+		// Each engine parses its own AST: the direct evaluator folds its
+		// program in place.
+		directProg, err := csrc.Parse(src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		cfg := Config{Space: params.Space(), PopSize: 4, MaxIterations: 3, Seed: 11}
-
-		direct, err := Run(cfg, &CSourceEvaluator{Prog: prog, Cluster: c, Reps: 2, Seed: 11})
+		tracedProg, err := csrc.Parse(src)
 		if err != nil {
-			t.Fatalf("%s direct: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		traced, err := Run(cfg, &TraceEvaluator{Prog: prog, Cluster: c, Reps: 2, Seed: 11,
-			Legacy: true, KernelStyle: true})
-		if err != nil {
-			t.Fatalf("%s traced: %v", name, err)
-		}
-
-		if direct.BestPerf != traced.BestPerf {
-			t.Errorf("%s: best perf %v (direct) != %v (traced)", name, direct.BestPerf, traced.BestPerf)
-		}
-		if !reflect.DeepEqual(direct.Curve, traced.Curve) {
-			t.Errorf("%s: curves differ:\n direct %+v\n traced %+v", name, direct.Curve, traced.Curve)
+		for _, form := range []struct {
+			name   string
+			direct Evaluator
+			kernel Kernel
+		}{
+			{"workload",
+				&SeededWorkloadEvaluator{Workload: w, Cluster: c, Reps: 2, Seed: 11},
+				Kernel{Workload: w, Cluster: c, Reps: 2, Seed: 11}},
+			{"C source",
+				&SeededCSourceEvaluator{Prog: directProg, Cluster: c, Reps: 2, Seed: 11},
+				Kernel{Prog: tracedProg, Cluster: c, Reps: 2, Seed: 11}},
+		} {
+			direct, err := RunBatch(ctx, cfg, NewMemo(&Pool{Eval: form.direct, Workers: 1}))
+			if err != nil {
+				t.Fatalf("%s %s direct: %v", name, form.name, err)
+			}
+			traced, err := RunKernel(ctx, cfg, form.kernel)
+			if err != nil {
+				t.Fatalf("%s %s traced: %v", name, form.name, err)
+			}
+			if info := traced.EngineInfo; !info.TraceReady || info.FellBack || info.KernelHash == "" {
+				t.Fatalf("%s %s: replay did not score the run: %+v", name, form.name, info)
+			}
+			if !curvesEqual(direct, traced) {
+				t.Errorf("%s %s: curves differ:\n direct %+v\n traced %+v",
+					name, form.name, direct.Curve, traced.Curve)
+			}
 		}
 	}
 }

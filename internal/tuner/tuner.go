@@ -10,8 +10,9 @@
 // BatchEvaluator as one batch, which may fan it out across a worker pool
 // (Pool) and memoize repeated genomes (Memo) while the pipeline commits
 // results in population order — so tuning curves are bit-identical for any
-// worker count. Run adapts the legacy per-configuration Evaluator onto the
-// same engine.
+// worker count. RunKernel wires the full engine — trace replay with a
+// direct-simulation fallback, pool and memo — around a workload or C
+// kernel; RunBatch runs the pipeline over any BatchEvaluator.
 package tuner
 
 import (
@@ -107,9 +108,8 @@ type Result struct {
 	SubsetTrace [][]bool
 	// EngineInfo describes how the evaluation engine actually scored the
 	// run — in particular whether staged trace replay was active and, if
-	// not, why. The engine wiring (tunio.Engine) fills it in after the
-	// pipeline returns; plain tuner.Run/RunBatch callers that assemble
-	// their own evaluators leave it zero.
+	// not, why. RunKernel fills it in after the pipeline returns; RunBatch
+	// callers that assemble their own evaluators leave it zero.
 	EngineInfo EngineInfo
 }
 
@@ -146,17 +146,6 @@ type EngineInfo struct {
 	// when the cache is shared across sessions, so the hit rates measure
 	// what sharing bought this session.
 	StageStats replay.StageStats `json:"stage_stats"`
-}
-
-// Run executes the pipeline until the stopper fires or MaxIterations is
-// reached, evaluating each generation serially in population order. It is
-// the legacy entry point, equivalent to RunBatch with a background context
-// and the serial evaluator adapter.
-func Run(cfg Config, eval Evaluator) (*Result, error) {
-	if eval == nil {
-		return nil, fmt.Errorf("tuner: nil evaluator")
-	}
-	return RunBatch(context.Background(), cfg, AdaptEvaluator(eval))
 }
 
 // RunBatch executes the pipeline until the stopper fires or MaxIterations

@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -20,17 +21,23 @@ func syntheticEval(a *params.Assignment, _ int) (float64, float64, error) {
 	return 100 * score, 1.0, nil
 }
 
+// runSerial runs the pipeline scoring each generation serially, in
+// population order.
+func runSerial(cfg Config, eval Evaluator) (*Result, error) {
+	return RunBatch(context.Background(), cfg, AdaptEvaluator(eval))
+}
+
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{}, FuncEvaluator(syntheticEval)); err == nil {
+	if _, err := runSerial(Config{}, FuncEvaluator(syntheticEval)); err == nil {
 		t.Fatal("empty space: want error")
 	}
-	if _, err := Run(Config{Space: params.Space()}, nil); err == nil {
+	if _, err := RunBatch(context.Background(), Config{Space: params.Space()}, nil); err == nil {
 		t.Fatal("nil evaluator: want error")
 	}
 }
 
 func TestPipelineImprovesOnSynthetic(t *testing.T) {
-	res, err := Run(Config{
+	res, err := runSerial(Config{
 		Space:         params.Space(),
 		PopSize:       12,
 		MaxIterations: 20,
@@ -67,7 +74,7 @@ func TestDefaultsSeededAsBaseline(t *testing.T) {
 		}
 		return syntheticEval(a, iter)
 	})
-	if _, err := Run(Config{Space: params.Space(), PopSize: 8, MaxIterations: 2, Seed: 2}, eval); err != nil {
+	if _, err := runSerial(Config{Space: params.Space(), PopSize: 8, MaxIterations: 2, Seed: 2}, eval); err != nil {
 		t.Fatal(err)
 	}
 	if !sawDefault {
@@ -76,7 +83,7 @@ func TestDefaultsSeededAsBaseline(t *testing.T) {
 }
 
 func TestTimeAccounting(t *testing.T) {
-	res, err := Run(Config{
+	res, err := runSerial(Config{
 		Space: params.Space(), PopSize: 4, MaxIterations: 3, Seed: 3, Overhead: 0.5,
 	}, FuncEvaluator(func(a *params.Assignment, _ int) (float64, float64, error) {
 		return 1, 2.0, nil // 2 minutes per eval
@@ -94,7 +101,7 @@ func TestTimeAccounting(t *testing.T) {
 func TestHeuristicStopperFiresOnPlateau(t *testing.T) {
 	// Perf improves for 4 iterations then plateaus: the 5%/5-iteration
 	// heuristic must stop around iteration 9.
-	res, err := Run(Config{
+	res, err := runSerial(Config{
 		Space: params.Space(), PopSize: 4, MaxIterations: 50, Seed: 4,
 		Stopper: NewHeuristicStopper(),
 	}, FuncEvaluator(func(_ *params.Assignment, iter int) (float64, float64, error) {
@@ -232,7 +239,7 @@ func TestSubsetPickerRestrictsSearch(t *testing.T) {
 	mask[params.Index(space, params.StripingFactor)] = true
 	mask[params.Index(space, params.CollectiveWrite)] = true
 
-	res, err := Run(Config{
+	res, err := runSerial(Config{
 		Space: space, PopSize: 8, MaxIterations: 6, Seed: 5,
 		Picker: &fixedPicker{mask: mask},
 	}, FuncEvaluator(syntheticEval))
@@ -267,7 +274,7 @@ func TestWorkloadEvaluatorEndToEnd(t *testing.T) {
 	c.Noise = 0
 	w := workload.NewMACSio(c.Procs())
 	w.Dumps = 2
-	eval := &WorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 9}
+	eval := &SeededWorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 9}
 	a := params.DefaultAssignment(params.Space())
 	perf, cost, err := eval.Evaluate(a, 0)
 	if err != nil {
@@ -276,12 +283,17 @@ func TestWorkloadEvaluatorEndToEnd(t *testing.T) {
 	if perf <= 0 || cost <= 0 {
 		t.Fatalf("perf %v cost %v", perf, cost)
 	}
-	// Distinct evaluations use distinct seeds: results differ under noise.
+	// Seeds derive from (iteration, genome): under noise, repeating an
+	// evaluation reproduces it exactly and another iteration re-samples.
 	c.Noise = 0.04
 	p1, _, _ := eval.Evaluate(a, 1)
 	p2, _, _ := eval.Evaluate(a, 1)
-	if p1 == p2 {
-		t.Fatal("consecutive evaluations identical despite noise")
+	p3, _, _ := eval.Evaluate(a, 2)
+	if p1 != p2 {
+		t.Fatalf("same (iteration, genome) measured %v then %v", p1, p2)
+	}
+	if p1 == p3 {
+		t.Fatal("evaluations at distinct iterations identical despite noise")
 	}
 }
 
@@ -292,9 +304,9 @@ func TestShortWorkloadTuningImproves(t *testing.T) {
 	w := workload.NewFLASH(c.Procs())
 	w.BlocksPerRank = 16
 	w.Unknowns = 4
-	res, err := Run(Config{
+	res, err := RunKernel(context.Background(), Config{
 		Space: params.Space(), PopSize: 8, MaxIterations: 10, Seed: 10,
-	}, &WorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 10})
+	}, Kernel{Workload: w, Cluster: c, Reps: 1, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

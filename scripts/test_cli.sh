@@ -151,6 +151,16 @@ if grep -q "TR003" "$tmp/switch.err"; then
     fail "TR003 raised for a constant-propagatable path"
 fi
 
+echo "== tunio tunes at default flags on the batch engine =="
+# -parallel 0 (the default) is one worker on the batch engine: the run
+# must be scored by trace replay and print its result.
+go build -o "$tmp/tunio" ./cmd/tunio
+"$tmp/tunio" -workload macsio -nodes 1 -ppn 8 -pipeline hstuner -pop 4 -iters 3 -reps 1 \
+    > "$tmp/tune.out" 2> "$tmp/tune.err" ||
+    fail "tunio at default flags exited nonzero: $(cat "$tmp/tune.err")"
+grep -q "trace replay" "$tmp/tune.out" ||
+    fail "tunio did not report a trace-replay-scored run: $(cat "$tmp/tune.out")"
+
 echo "== tuniod serves a tuning job over HTTP =="
 # Tuning-as-a-service smoke: boot tuniod on an ephemeral port, submit a
 # tiny macsio job, and poll until it reaches a terminal state with a
@@ -160,8 +170,9 @@ go build -o "$tmp/tuniod" ./cmd/tuniod
 tuniod_pid=$!
 # dash keeps `set -e` live inside EXIT traps: a kill of an already-dead
 # daemon must not abort the trap (skipping cleanup) or turn a clean run
-# into exit 1.
-trap 'kill "$tuniod_pid" 2>/dev/null || :; rm -rf "$tmp"' EXIT
+# into exit 1. The trap waits for the daemon to exit before removing its
+# directory: a daemon still shutting down may write into it.
+trap 'kill "$tuniod_pid" 2>/dev/null || :; wait "$tuniod_pid" 2>/dev/null || :; rm -rf "$tmp"' EXIT
 
 for _ in $(seq 1 100); do
     grep -q "listening on" "$tmp/tuniod.log" && break
@@ -194,6 +205,14 @@ grep -q '"best_perf_mbs"' "$tmp/status.json" ||
     fail "terminal status missing the result payload"
 curl -s "$base/v1/stats" | grep -q '"sessions_done": 1' ||
     fail "tuniod stats did not count the finished session"
+
+echo "== tuniod rejects a negative rep count with 400 =="
+code="$(curl -s -o "$tmp/neg.json" -w '%{http_code}' "$base/v1/jobs" \
+    -d '{"workload":"macsio","nodes":2,"procs_per_node":8,"reps":-1}')"
+[ "$code" = "400" ] || fail "reps -1 returned HTTP $code, want 400"
+grep -q "Reps" "$tmp/neg.json" || fail "400 body does not name the rejected field"
+curl -s "$base/v1/stats" | grep -q '"sessions_started": 1' ||
+    fail "a rejected job started a session"
 
 echo "== tuniod streams an online drift session over SSE =="
 # Online smoke: the machine degrades at t=25, so the session must stream
@@ -248,7 +267,7 @@ grep -q "stopper: trained" "$tmp/train2.log" ||
 "$tmp/tuniod" -addr 127.0.0.1:0 -artifacts "$tmp/art" -store "$tmp/kernels.json" \
     2> "$tmp/tuniod2.log" &
 tuniod2_pid=$!
-trap 'kill "$tuniod_pid" "$tuniod2_pid" 2>/dev/null || :; rm -rf "$tmp"' EXIT
+trap 'kill "$tuniod_pid" "$tuniod2_pid" 2>/dev/null || :; wait "$tuniod_pid" "$tuniod2_pid" 2>/dev/null || :; rm -rf "$tmp"' EXIT
 
 for _ in $(seq 1 100); do
     grep -q "listening on" "$tmp/tuniod2.log" && break

@@ -1,6 +1,7 @@
 package tunio
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -92,7 +93,7 @@ func TestSessionPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(agent, ParameterSpace())
+	sess, err := NewRefinement(agent, ParameterSpace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +148,13 @@ func TestFullPipelineArchitecture(t *testing.T) {
 
 	// step 2: tune evaluating the kernel, falling back to the full app on
 	// kernel errors
-	res, err := tuner.Run(tuner.Config{
+	res, err := tuner.RunBatch(context.Background(), tuner.Config{
 		Space: ParameterSpace(), PopSize: 6, MaxIterations: 8, Seed: 31,
 		Stopper: tuner.NewHeuristicStopper(),
-	}, &tuner.FallbackEvaluator{
-		Primary:  &tuner.CSourceEvaluator{Prog: kernel.File, Cluster: c, Reps: 1, Seed: 31},
-		Fallback: &tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 31},
-	})
+	}, tuner.NewMemo(&tuner.Pool{Eval: &tuner.FallbackEvaluator{
+		Primary:  &tuner.SeededCSourceEvaluator{Prog: kernel.File, Cluster: c, Reps: 1, Seed: 31},
+		Fallback: &tuner.SeededWorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 31},
+	}}))
 	if err != nil {
 		t.Fatal(err)
 	}
