@@ -126,7 +126,7 @@ func main() {
 	// asked for :0 can discover the port.
 	fmt.Fprintf(os.Stderr, "tuniod: listening on http://%s\n", ln.Addr())
 
-	srv := &http.Server{Handler: root}
+	srv := newServer(root)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	done := make(chan error, 1)
@@ -144,6 +144,24 @@ func main() {
 		srv.Shutdown(shutCtx)
 	}
 	saveStore(store, *storePath)
+}
+
+// Connection limits of the daemon's HTTP server. A job's SSE stream stays
+// open for the whole job, so there is no read or write deadline on a
+// request; these bound only a client that never finishes sending its
+// request headers and a keep-alive connection left idle.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the daemon's HTTP server around handler.
+func newServer(handler http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // saveStore persists the kernel store so the next boot serves recorded

@@ -71,3 +71,45 @@ func TestDriftEpochReplayIdentity(t *testing.T) {
 		t.Fatal("same epoch must charge identical time")
 	}
 }
+
+// TestDriftSlowOSTsFollowFirstOST pins that serving maps stripe slots to
+// absolute OSTs: the same one-stripe phase is slower on a file that starts
+// on a degraded OST than on one that starts on a healthy OST.
+func TestDriftSlowOSTsFollowFirstOST(t *testing.T) {
+	sim := func() *cluster.Sim {
+		c := cluster.CoriHaswell(2, 4)
+		c.Noise = 0
+		c.NICBandwidth = 1e12
+		c.Drift = &cluster.Drift{Seed: 3, Regimes: []cluster.Regime{{Start: 0, SlowOSTs: 40}}}
+		s, err := cluster.NewSim(c, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	dr, osts := sim().Cluster.Drift, CoriScratch().OSTs
+	slow, fast := -1, -1
+	for o := 0; o < osts; o++ {
+		if dr.OSTFactor(0, o, osts) < 1 {
+			slow = o
+		} else {
+			fast = o
+		}
+	}
+	phaseOn := func(first int) float64 {
+		fs := newFS(t, sim())
+		fs.nextOST = first
+		f, err := fs.Create("d", 1, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := f.WritePhase([]ioreq.Extent{{Offset: 0, Size: 64 << 20, Rank: 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	if s, f := phaseOn(slow), phaseOn(fast); s <= f {
+		t.Fatalf("phase on degraded OST %d took %v, on healthy OST %d %v", slow, s, fast, f)
+	}
+}

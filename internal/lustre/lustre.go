@@ -22,6 +22,7 @@ package lustre
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tunio/internal/cluster"
 	"tunio/internal/ioreq"
@@ -84,66 +85,103 @@ type FS struct {
 	// allocator spreading files across the pool.
 	nextOST int
 
-	// Scratch state reused across split/phase calls. Access to one FS is
+	// Scratch state reused across layout calls. Access to one FS is
 	// serialized (the simulation advances a single clock), so phases never
 	// run concurrently; concurrent tuning evaluations each build their own
-	// stack and FS. Epoch stamps make resets O(touched) instead of O(OSTs).
+	// stack and FS.
 	scratch phaseScratch
 }
 
-// phaseScratch holds the dense accumulators split and phase reuse call to
-// call, replacing the per-call maps that dominated the evaluation hot path.
-// Epoch stamps mark which entries belong to the current extent/phase, so a
-// "reset" is a counter increment rather than a clear.
+// phaseScratch holds the dense accumulators layout reuses call to call,
+// replacing the per-call maps that dominated the evaluation hot path.
+// Generation stamps mark which entries belong to the current extent or
+// phase, so a "reset" is a counter increment rather than a clear.
 type phaseScratch struct {
-	pieces []ostPiece // split output buffer
+	layout Layout // the live path's layout, recomputed every phase
 
-	// Per-extent slot accumulation in split, indexed by stripe%stripeCount.
-	// slotOrder keeps first-touch order: the last touched slot absorbs the
-	// payload rounding remainder, exactly as the map-based version did.
-	slotEpoch []uint32
-	slotSpan  []int64
-	slotEdges []int64
-	slotOrder []int32
-	slotGen   uint32
-
-	// Per-phase OST load accumulation, indexed by OST.
-	loadEpoch []uint32
-	loadBytes []int64
-	loadRMW   []int64
-	loadReqs  []int64
-	loadClis  []int64 // distinct clients touching the OST
-	loadOrder []int32
-
-	// Distinct-client stamps, indexed by OST*cliStride+rank.
-	cliEpoch  []uint32
-	cliStride int
-
-	// Per-phase per-node byte totals, indexed by node.
-	nodeEpoch []uint32
-	nodeBytes []int64
-	nodeOrder []int32
-
+	// Per-phase load of each stripe slot, indexed by slot; touched keeps
+	// first-touch order.
+	acc      []slotAcc
+	touched  []int32
 	phaseGen uint32
+
+	// Per-extent footprint of multi-stripe extents, indexed by slot.
+	// footOrder keeps first-touch order: the last touched slot absorbs the
+	// payload rounding remainder.
+	foot      []footprint
+	footOrder []int32
+	footGen   uint32
+
+	// Distinct-client stamps, indexed by rank*stripeCount+slot.
+	cliEpoch []uint32
+
+	// Per-phase byte totals, indexed by client node.
+	nodes []nodeLoad
+
+	// Divisors of the phase being laid out: stripe size, stripe count and
+	// RAID segment size.
+	stripe, count, unit divisor
 }
 
-// grow ensures the epoch/value slice pair covers index n.
-func growStamps(epoch *[]uint32, n int) {
-	if n < len(*epoch) {
-		return
-	}
-	ne := make([]uint32, n+1)
-	copy(ne, *epoch)
-	*epoch = ne
+type slotAcc struct {
+	gen uint32
+	slotLoad
 }
 
-func growInt64(vals *[]int64, n int) {
-	if n < len(*vals) {
-		return
+type footprint struct {
+	gen   uint32
+	span  int64
+	edges int64
+}
+
+type nodeLoad struct {
+	gen   uint32
+	bytes int64
+}
+
+// grow returns s extended with zero values to cover index n, at least
+// doubling it so growth one index at a time stays amortized O(1).
+func grow[T any](s []T, n int) []T {
+	if n < len(s) {
+		return s
 	}
-	nv := make([]int64, n+1)
-	copy(nv, *vals)
-	*vals = nv
+	ns := make([]T, max(n+1, 2*len(s)))
+	copy(ns, s)
+	return ns
+}
+
+// divisor divides non-negative values by a positive constant, by shift
+// and mask when it is a power of two. Stripe sizes, RAID segments and
+// usually stripe counts and processes per node are, and layout divides
+// several times per extent: a hardware 64-bit divide costs more than the
+// rest of an extent's arithmetic.
+type divisor struct {
+	d     int64
+	mask  int64 // d-1 when d is a power of two, else -1
+	shift uint
+}
+
+func newDivisor(d int64) divisor {
+	v := divisor{d: d, mask: -1}
+	if d&(d-1) == 0 {
+		v.mask = d - 1
+		v.shift = uint(bits.TrailingZeros64(uint64(d)))
+	}
+	return v
+}
+
+func (v divisor) div(x int64) int64 {
+	if v.mask >= 0 {
+		return x >> v.shift
+	}
+	return x / v.d
+}
+
+func (v divisor) mod(x int64) int64 {
+	if v.mask >= 0 {
+		return x & v.mask
+	}
+	return x % v.d
 }
 
 // New builds a file system.
@@ -221,98 +259,207 @@ func (f *File) StripeSize() int64 { return f.stripeSize }
 // Size returns the current file size (high-water mark of writes).
 func (f *File) Size() int64 { return f.size }
 
-// ostPiece is the load one extent places on a single OST. A piece may
-// aggregate several stripes of the same extent that land on the same OST.
-type ostPiece struct {
-	ost      int
-	size     int64
-	requests int64 // sub-requests landing in this piece
-	rank     int
-	rmwEdges int64 // request edges unaligned to RMWUnit (write RMW penalty)
+// Layout is the seed-free half of one data phase: the load its extents
+// place on each stripe slot of the file, the bytes the busiest client node
+// injects, and the file size the phase leaves behind. It depends only on
+// the extents, the direction, the file's striping and size at phase start,
+// the RAID segment size and the processes per node. It never reads the
+// clock, the RNG, the drift schedule or the OST the file starts on, so one
+// layout serves every run that issues the same phase against the same
+// striping. Slots are stripe indexes modulo the stripe count; serving maps
+// slot s to OST (firstOST+s) % OSTs, which is injective, so per-slot load
+// is per-OST load.
+//
+// The zero value is an empty layout that fits no file.
+type Layout struct {
+	// File state the layout was computed from.
+	stripeCount int
+	stripeSize  int64
+	sizeBefore  int64
+
+	slots        []slotLoad // touched slots, first-touch order
+	maxNodeBytes int64      // payload bytes of the busiest client node
+	requests     int64      // OST requests over all slots
+	rmw          int64      // read-modify-write bytes over all slots
+	appBytes     int64      // payload bytes of the extents
+	sizeAfter    int64      // file size after the phase
 }
 
-// edgeRMW reports whether a boundary at off is a read-modify-write edge.
-func (f *File) edgeRMW(off int64, trailing bool) bool {
-	if off%f.fs.cfg.RMWUnit == 0 {
+// slotLoad is the load a phase places on one stripe slot.
+type slotLoad struct {
+	slot     int32
+	clients  int32 // distinct ranks touching the slot
+	bytes    int64
+	requests int64
+	rmw      int64
+}
+
+// Reset empties the layout, keeping its storage for reuse. An empty layout
+// fits no file.
+func (l *Layout) Reset() { *l = Layout{slots: l.slots[:0]} }
+
+// fits reports whether l was computed for f's current striping and size.
+func (l *Layout) fits(f *File) bool {
+	return l.stripeCount == f.stripeCount && l.stripeSize == f.stripeSize && l.sizeBefore == f.size
+}
+
+// edgeRMW reports whether a request boundary at off is a read-modify-write
+// edge for a file of the given size.
+func edgeRMW(off, size int64, unit divisor, trailing bool) bool {
+	if unit.mod(off) == 0 {
 		return false
 	}
-	if trailing && off >= f.size {
+	if trailing && off >= size {
 		return false // appending past EOF: nothing to read back
 	}
 	return true
 }
 
-// split maps an extent to per-OST pieces according to the stripe layout.
-// The extent's geometric footprint (SpanLen) decides which stripes are
+// layout computes the seed-free half of a phase of extents against f into
+// l, reusing l's storage. It reads f's striping and size but not its first
+// OST, and leaves f unchanged. An invalid extent empties l and is reported.
+func (f *File) layout(l *Layout, extents []ioreq.Extent, isWrite bool) error {
+	*l = Layout{
+		stripeCount: f.stripeCount,
+		stripeSize:  f.stripeSize,
+		sizeBefore:  f.size,
+		sizeAfter:   f.size,
+		slots:       l.slots[:0],
+	}
+	if len(extents) == 0 {
+		return nil
+	}
+	sp := &f.fs.scratch
+	sp.phaseGen++
+	gen := sp.phaseGen
+	sc := f.stripeCount
+	sp.acc = grow(sp.acc, sc-1)
+	sp.touched = sp.touched[:0]
+	sp.foot = grow(sp.foot, sc-1)
+	sp.stripe = newDivisor(f.stripeSize)
+	sp.count = newDivisor(int64(sc))
+	sp.unit = newDivisor(f.fs.cfg.RMWUnit)
+
+	ppn := newDivisor(int64(f.fs.sim.Cluster.ProcsPerNode))
+	size := f.size
+	for _, e := range extents {
+		if err := e.Validate(); err != nil {
+			l.Reset()
+			return err
+		}
+		l.appBytes += e.Size
+		node := int(ppn.div(int64(e.Rank)))
+		if node >= len(sp.nodes) {
+			sp.nodes = grow(sp.nodes, node)
+		}
+		// Node totals only grow, so the running maximum is the final one.
+		n := &sp.nodes[node]
+		if n.gen != gen {
+			n.gen = gen
+			n.bytes = 0
+		}
+		n.bytes += e.Size
+		if n.bytes > l.maxNodeBytes {
+			l.maxNodeBytes = n.bytes
+		}
+		spanLen := e.SpanLen()
+		end := e.Offset + spanLen
+		if stripe := sp.stripe.div(e.Offset); stripe == sp.stripe.div(end-1) {
+			// One stripe holds the whole extent (the common case): a
+			// single piece carries all of its payload and requests.
+			var edges int64
+			if edgeRMW(e.Offset, size, sp.unit, false) {
+				edges++
+			}
+			if edgeRMW(end, size, sp.unit, true) {
+				edges++
+			}
+			f.charge(int(sp.count.mod(stripe)), e.Size, e.Requests(), e.Rank, edges, isWrite)
+		} else {
+			f.split(e, size, isWrite)
+		}
+		if isWrite && e.End() > size {
+			size = e.End()
+		}
+	}
+	l.sizeAfter = size
+	for _, slot := range sp.touched {
+		s := sp.acc[slot].slotLoad
+		l.slots = append(l.slots, s)
+		l.requests += s.requests
+		l.rmw += s.rmw
+	}
+	return nil
+}
+
+// split charges an extent crossing stripe boundaries to the stripe slots
+// it touches (layout charges single-stripe extents itself). The
+// extent's geometric footprint (SpanLen) decides which stripes are
 // touched; its payload bytes are spread over those stripes in proportion
 // to footprint overlap, and its sub-request count distributes with the
 // payload. Extents spanning many stripe cycles aggregate into one piece
-// per participating OST so cost stays O(stripeCount) rather than
-// O(stripes).
-func (f *File) split(e ioreq.Extent) []ostPiece {
+// per participating slot so cost stays O(stripeCount) rather than
+// O(stripes). size is the file size the extent meets (for trailing RMW
+// edges).
+func (f *File) split(e ioreq.Extent, size int64, isWrite bool) {
+	sp := &f.fs.scratch
 	ss := f.stripeSize
 	sc := int64(f.stripeCount)
 	spanLen := e.SpanLen()
 	end := e.Offset + spanLen
-	firstStripe := e.Offset / ss
-	lastStripe := (end - 1) / ss
+	firstStripe := sp.stripe.div(e.Offset)
+	lastStripe := sp.stripe.div(end - 1)
 	nStripes := lastStripe - firstStripe + 1
 
-	// Collect geometric footprint per OST slot first. Slots are keyed by
-	// stripe%stripeCount (equivalent to keying by OST: the slot->OST map is
-	// injective) into epoch-stamped scratch arrays, in first-touch order.
-	sp := &f.fs.scratch
-	sp.slotGen++
-	gen := sp.slotGen
-	growStamps(&sp.slotEpoch, int(sc)-1)
-	growInt64(&sp.slotSpan, int(sc)-1)
-	growInt64(&sp.slotEdges, int(sc)-1)
-	sp.slotOrder = sp.slotOrder[:0]
-	add := func(stripe, span, edges int64) {
-		slot := int(stripe % sc)
-		if sp.slotEpoch[slot] != gen {
-			sp.slotEpoch[slot] = gen
-			sp.slotSpan[slot] = 0
-			sp.slotEdges[slot] = 0
-			sp.slotOrder = append(sp.slotOrder, int32(slot))
+	// Collect the geometric footprint per slot first, in first-touch order.
+	sp.footGen++
+	gen := sp.footGen
+	sp.footOrder = sp.footOrder[:0]
+	add := func(slot int, span, edges int64) {
+		ft := &sp.foot[slot]
+		if ft.gen != gen {
+			*ft = footprint{gen: gen}
+			sp.footOrder = append(sp.footOrder, int32(slot))
 		}
-		sp.slotSpan[slot] += span
-		sp.slotEdges[slot] += edges
+		ft.span += span
+		ft.edges += edges
 	}
 
 	if nStripes <= 2*sc {
-		// exact per-stripe walk for small spans; the stripe index and
-		// in-stripe position advance incrementally (no div/mod per stripe)
+		// exact per-stripe walk for small spans; the slot and in-stripe
+		// position advance incrementally (no div/mod per stripe)
 		off := e.Offset
 		remaining := spanLen
-		stripeIdx := firstStripe
-		avail := ss - off%ss
+		slot := int(sp.count.mod(firstStripe))
+		avail := ss - sp.stripe.mod(off)
 		for remaining > 0 {
 			n := remaining
 			if n > avail {
 				n = avail
 			}
 			var edges int64
-			if f.edgeRMW(off, false) {
+			if edgeRMW(off, size, sp.unit, false) {
 				edges++
 			}
-			if f.edgeRMW(off+n, true) {
+			if edgeRMW(off+n, size, sp.unit, true) {
 				edges++
 			}
-			add(stripeIdx, n, edges)
+			add(slot, n, edges)
 			off += n
 			remaining -= n
-			stripeIdx++
+			if slot++; slot == int(sc) {
+				slot = 0
+			}
 			avail = ss
 		}
 	} else {
 		// aggregated path: head/tail partial stripes plus evenly
 		// distributed full stripes
 		headBytes := int64(0)
-		if rem := e.Offset % ss; rem != 0 {
+		if rem := sp.stripe.mod(e.Offset); rem != 0 {
 			headBytes = ss - rem
 		}
-		tailBytes := end % ss
+		tailBytes := sp.stripe.mod(end)
 		fullFirst, fullLast := firstStripe, lastStripe
 		if headBytes > 0 {
 			fullFirst++
@@ -323,31 +470,31 @@ func (f *File) split(e ioreq.Extent) []ostPiece {
 		fullCount := fullLast - fullFirst + 1
 		if headBytes > 0 {
 			var edges int64
-			if f.edgeRMW(e.Offset, false) {
+			if edgeRMW(e.Offset, size, sp.unit, false) {
 				edges++
 			}
-			add(firstStripe, headBytes, edges)
+			add(int(sp.count.mod(firstStripe)), headBytes, edges)
 		}
 		if tailBytes > 0 {
 			var edges int64
-			if f.edgeRMW(end, true) {
+			if edgeRMW(end, size, sp.unit, true) {
 				edges++
 			}
-			add(lastStripe, tailBytes, edges)
+			add(int(sp.count.mod(lastStripe)), tailBytes, edges)
 		}
 		base := fullCount / sc
 		extra := fullCount % sc
-		for i := int64(0); i < sc; i++ {
-			stripe := fullFirst + i
-			if stripe > fullLast {
-				break
-			}
+		slot := int(sp.count.mod(fullFirst))
+		for i := int64(0); i < sc && i < fullCount; i++ {
 			cnt := base
 			if i < extra {
 				cnt++
 			}
 			if cnt > 0 {
-				add(stripe, cnt*ss, 0)
+				add(slot, cnt*ss, 0)
+			}
+			if slot++; slot == int(sc) {
+				slot = 0
 			}
 		}
 	}
@@ -355,116 +502,89 @@ func (f *File) split(e ioreq.Extent) []ostPiece {
 	// Convert footprint to payload: spread Size bytes and Count requests
 	// proportionally, conserving totals exactly (the last touched slot
 	// absorbs the rounding remainder).
-	out := sp.pieces[:0]
+	// Before the last slot every span is below spanLen, so a single
+	// request rounds to zero and a dense extent (payload = footprint)
+	// whose products cannot overflow keeps its spans: both skip a divide.
 	var assignedBytes, assignedReqs int64
-	for i, slot := range sp.slotOrder {
-		span := sp.slotSpan[slot]
-		size := span * e.Size / spanLen
-		reqs := span * e.Requests() / spanLen
-		if i == len(sp.slotOrder)-1 {
-			size = e.Size - assignedBytes
-			reqs = e.Requests() - assignedReqs
+	reqs := e.Requests()
+	dense := e.Size == spanLen && e.Size <= maxExactSquare
+	for i, slot := range sp.footOrder {
+		ft := &sp.foot[slot]
+		var psize, preqs int64
+		if dense {
+			psize = ft.span
+		} else {
+			psize = ft.span * e.Size / spanLen
 		}
-		assignedBytes += size
-		assignedReqs += reqs
-		if size <= 0 {
+		if reqs > 1 {
+			preqs = ft.span * reqs / spanLen
+		}
+		if i == len(sp.footOrder)-1 {
+			psize = e.Size - assignedBytes
+			preqs = reqs - assignedReqs
+		}
+		assignedBytes += psize
+		assignedReqs += preqs
+		if psize <= 0 {
 			continue
 		}
-		if reqs < 1 {
-			reqs = 1
+		if preqs < 1 {
+			preqs = 1
 		}
-		out = append(out, ostPiece{
-			ost:      (f.firstOST + int(slot)) % f.fs.cfg.OSTs,
-			size:     size,
-			requests: reqs,
-			rank:     e.Rank,
-			rmwEdges: sp.slotEdges[slot],
-		})
+		f.charge(int(slot), psize, preqs, e.Rank, ft.edges, isWrite)
 	}
-	sp.pieces = out
-	return out
 }
 
-// phase services a set of extents and returns the elapsed simulated time.
-func (f *File) phase(extents []ioreq.Extent, isWrite bool) (float64, error) {
-	if len(extents) == 0 {
-		return 0, nil
-	}
+// maxExactSquare is the largest n with n*n <= MaxInt64.
+const maxExactSquare = 3037000499
+
+// charge adds one piece — size payload bytes in reqs requests from rank,
+// with edges unaligned request edges — to a stripe slot's phase load.
+func (f *File) charge(slot int, size, reqs int64, rank int, edges int64, isWrite bool) {
 	sp := &f.fs.scratch
-	sp.phaseGen++
 	gen := sp.phaseGen
-	sp.loadOrder = sp.loadOrder[:0]
-	sp.nodeOrder = sp.nodeOrder[:0]
-	procsPerNode := f.fs.sim.Cluster.ProcsPerNode
-	nOSTs := f.fs.cfg.OSTs
-	growStamps(&sp.loadEpoch, nOSTs-1)
-	growInt64(&sp.loadBytes, nOSTs-1)
-	growInt64(&sp.loadRMW, nOSTs-1)
-	growInt64(&sp.loadReqs, nOSTs-1)
-	growInt64(&sp.loadClis, nOSTs-1)
+	s := &sp.acc[slot]
+	if s.gen != gen {
+		*s = slotAcc{gen: gen, slotLoad: slotLoad{slot: int32(slot)}}
+		sp.touched = append(sp.touched, int32(slot))
+	}
+	s.bytes += size
+	s.requests += reqs
+	// One row of stamps per rank, so growing keeps the phase's stamps
+	// in place.
+	c := rank*f.stripeCount + slot
+	if c >= len(sp.cliEpoch) {
+		sp.cliEpoch = grow(sp.cliEpoch, c)
+	}
+	if sp.cliEpoch[c] != gen {
+		sp.cliEpoch[c] = gen
+		s.clients++
+	}
+	if isWrite {
+		subSize := size
+		if reqs > 1 {
+			if subSize = size / reqs; subSize == 0 {
+				subSize = size
+			}
+			// Strided sub-requests smaller than the RAID segment pay
+			// interior RMW; sequential write combining absorbs half.
+			if sp.unit.mod(subSize) != 0 {
+				edges += reqs / 2
+			}
+		}
+		s.rmw += edges * min(sp.unit.d, subSize)
+	}
+}
 
-	// Distinct-client stamps: one row of ranks per OST. Rank values are
-	// bounded by the cluster size in practice; grow defensively otherwise.
-	maxRank := 0
-	for _, e := range extents {
-		if e.Rank > maxRank {
-			maxRank = e.Rank
-		}
+// serve charges a layout to the simulation and returns the elapsed
+// simulated time: it maps each slot to its OST through the file's first
+// OST, runs the cost model, perturbs and advances the clock, updates the
+// darshan counters, and sets the file size the phase leaves behind.
+func (f *File) serve(l *Layout, isWrite bool) float64 {
+	if len(l.slots) == 0 {
+		return 0
 	}
-	if sp.cliStride < maxRank+1 || len(sp.cliEpoch) < nOSTs*sp.cliStride {
-		sp.cliStride = maxRank + 1
-		sp.cliEpoch = make([]uint32, nOSTs*sp.cliStride)
-	}
-
-	var appBytes int64
-	for _, e := range extents {
-		if err := e.Validate(); err != nil {
-			return 0, err
-		}
-		appBytes += e.Size
-		node := e.Rank / procsPerNode
-		growStamps(&sp.nodeEpoch, node)
-		growInt64(&sp.nodeBytes, node)
-		if sp.nodeEpoch[node] != gen {
-			sp.nodeEpoch[node] = gen
-			sp.nodeBytes[node] = 0
-			sp.nodeOrder = append(sp.nodeOrder, int32(node))
-		}
-		sp.nodeBytes[node] += e.Size
-		for _, p := range f.split(e) {
-			o := p.ost
-			if sp.loadEpoch[o] != gen {
-				sp.loadEpoch[o] = gen
-				sp.loadBytes[o] = 0
-				sp.loadRMW[o] = 0
-				sp.loadReqs[o] = 0
-				sp.loadClis[o] = 0
-				sp.loadOrder = append(sp.loadOrder, int32(o))
-			}
-			sp.loadBytes[o] += p.size
-			sp.loadReqs[o] += p.requests
-			if cs := o*sp.cliStride + p.rank; sp.cliEpoch[cs] != gen {
-				sp.cliEpoch[cs] = gen
-				sp.loadClis[o]++
-			}
-			if isWrite {
-				subSize := p.size / p.requests
-				if subSize == 0 {
-					subSize = p.size
-				}
-				edges := p.rmwEdges
-				// Strided sub-requests smaller than the RAID segment pay
-				// interior RMW; sequential write combining absorbs half.
-				if p.requests > 1 && subSize%f.fs.cfg.RMWUnit != 0 {
-					edges += p.requests / 2
-				}
-				sp.loadRMW[o] += edges * min64(f.fs.cfg.RMWUnit, subSize)
-			}
-		}
-		if isWrite && e.End() > f.size {
-			f.size = e.End()
-		}
-	}
+	f.size = l.sizeAfter
 
 	// Slowest OST bounds the storage side. Under a drift schedule the
 	// phase samples the machine once at its start time: background OST
@@ -479,40 +599,33 @@ func (f *File) phase(extents []ioreq.Extent, isWrite bool) (float64, error) {
 		cScale = dr.ContentionScale(at)
 	}
 	ostTime := 0.0
-	var totalRequests, totalRMW int64
-	for _, o := range sp.loadOrder {
-		contention := 1 + cfg.ContentionFactor*float64(sp.loadClis[o]-1)
+	for i := range l.slots {
+		s := &l.slots[i]
+		contention := 1 + cfg.ContentionFactor*float64(s.clients-1)
 		if dr != nil {
-			contention = 1 + cfg.ContentionFactor*cScale*float64(sp.loadClis[o]-1)
+			contention = 1 + cfg.ContentionFactor*cScale*float64(s.clients-1)
 		}
 		if contention > cfg.MaxContention {
 			contention = cfg.MaxContention
 		}
 		bw := cfg.OSTBandwidth
 		if dr != nil {
-			bw *= dr.OSTFactor(at, int(o), nOSTs)
+			bw *= dr.OSTFactor(at, (f.firstOST+int(s.slot))%cfg.OSTs, cfg.OSTs)
 		}
-		t := float64(sp.loadReqs[o])*cfg.OSTLatency +
-			float64(sp.loadBytes[o]+sp.loadRMW[o])/bw*contention
+		t := float64(s.requests)*cfg.OSTLatency +
+			float64(s.bytes+s.rmw)/bw*contention
 		if t > ostTime {
 			ostTime = t
 		}
-		totalRequests += sp.loadReqs[o]
-		totalRMW += sp.loadRMW[o]
 	}
 
-	// Client NIC side: slowest node's injection time.
+	// Client NIC side: the busiest node's injection time (division by the
+	// bandwidth is monotone, so the busiest node is the slowest).
 	nicBW := f.fs.sim.Cluster.NICBandwidth
 	if dr != nil {
 		nicBW *= dr.NICFactor(at)
 	}
-	nicTime := 0.0
-	for _, n := range sp.nodeOrder {
-		t := float64(sp.nodeBytes[n]) / nicBW
-		if t > nicTime {
-			nicTime = t
-		}
-	}
+	nicTime := float64(l.maxNodeBytes) / nicBW
 
 	elapsed := ostTime
 	if nicTime > elapsed {
@@ -522,20 +635,27 @@ func (f *File) phase(extents []ioreq.Extent, isWrite bool) (float64, error) {
 	elapsed = f.fs.sim.Perturb(elapsed)
 	f.fs.sim.Advance(elapsed)
 
-	rep := f.fs.sim.Report
+	lc := f.fs.sim.Report.Layer("lustre")
 	if isWrite {
-		lc := rep.Layer("lustre")
-		lc.WriteOps += totalRequests
-		lc.BytesWritten += appBytes
-		lc.BytesRead += totalRMW // RMW causes OST-side reads
+		lc.WriteOps += l.requests
+		lc.BytesWritten += l.appBytes
+		lc.BytesRead += l.rmw // RMW causes OST-side reads
 		lc.WriteTime += elapsed
 	} else {
-		lc := rep.Layer("lustre")
-		lc.ReadOps += totalRequests
-		lc.BytesRead += appBytes
+		lc.ReadOps += l.requests
+		lc.BytesRead += l.appBytes
 		lc.ReadTime += elapsed
 	}
-	return elapsed, nil
+	return elapsed
+}
+
+// phase services a set of extents and returns the elapsed simulated time.
+func (f *File) phase(extents []ioreq.Extent, isWrite bool) (float64, error) {
+	l := &f.fs.scratch.layout
+	if err := f.layout(l, extents, isWrite); err != nil {
+		return 0, err
+	}
+	return f.serve(l, isWrite), nil
 }
 
 // WritePhase implements ioreq.Backend semantics for this file.
@@ -612,14 +732,23 @@ func (b *Backend) ReadPhase(name string, extents []ioreq.Extent) float64 {
 	return d
 }
 
+// ServeLayout services a data phase on the named file like WritePhase or
+// ReadPhase, reusing memo across calls: when memo holds a layout computed
+// for the file's current striping and size it is served as is; otherwise
+// the phase's layout is computed into memo first. A memo must only ever be
+// passed for one phase — the same extents in the same direction, such as
+// one position of a replayed plan — since the extents are not checked.
+func (b *Backend) ServeLayout(name string, extents []ioreq.Extent, isWrite bool, memo *Layout) float64 {
+	f := b.file(name)
+	if !memo.fits(f) {
+		if err := f.layout(memo, extents, isWrite); err != nil {
+			panic("lustre: " + err.Error())
+		}
+	}
+	return f.serve(memo, isWrite)
+}
+
 // MetaOps implements ioreq.Backend.
 func (b *Backend) MetaOps(n, nclients int) float64 {
 	return b.FS.MetaOps(n, nclients)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -262,19 +262,30 @@ func TestFilesStartOnDifferentOSTs(t *testing.T) {
 	}
 }
 
+// splitOne lays out a single-extent write phase and returns its per-slot
+// loads.
+func splitOne(t *testing.T, f *File, e ioreq.Extent) []slotLoad {
+	t.Helper()
+	var l Layout
+	if err := f.layout(&l, []ioreq.Extent{e}, true); err != nil {
+		t.Fatal(err)
+	}
+	return l.slots
+}
+
 func TestSplitCrossesStripes(t *testing.T) {
 	sim := newSim(t, 4, 32)
 	fs := newFS(t, sim)
 	f, _ := fs.Create("f", 4, 1<<20)
-	pieces := f.split(ioreq.Extent{Offset: 512 << 10, Size: 2 << 20, Rank: 0})
-	if len(pieces) != 3 {
-		t.Fatalf("split produced %d pieces, want 3 (partial + full + partial)", len(pieces))
+	slots := splitOne(t, f, ioreq.Extent{Offset: 512 << 10, Size: 2 << 20, Rank: 0})
+	if len(slots) != 3 {
+		t.Fatalf("split produced %d slots, want 3 (partial + full + partial)", len(slots))
 	}
 	var total int64
 	osts := map[int]bool{}
-	for _, p := range pieces {
-		total += p.size
-		osts[p.ost] = true
+	for _, s := range slots {
+		total += s.bytes
+		osts[(f.firstOST+int(s.slot))%fs.Config().OSTs] = true
 	}
 	if total != 2<<20 {
 		t.Fatalf("split lost bytes: %d", total)
@@ -289,16 +300,16 @@ func TestSplitAggregatedPathConservesBytes(t *testing.T) {
 	fs := newFS(t, sim)
 	f, _ := fs.Create("f", 8, 64<<10) // small stripes force the aggregated path
 	e := ioreq.Extent{Offset: 12345, Size: 512 << 20, Rank: 3, Count: 64}
-	pieces := f.split(e)
-	if len(pieces) > 8 {
-		t.Fatalf("aggregated split produced %d pieces, want <= stripe count 8", len(pieces))
+	slots := splitOne(t, f, e)
+	if len(slots) > 8 {
+		t.Fatalf("aggregated split produced %d slots, want <= stripe count 8", len(slots))
 	}
 	var total, reqs int64
-	for _, p := range pieces {
-		total += p.size
-		reqs += p.requests
-		if p.rank != 3 {
-			t.Fatal("rank lost")
+	for _, s := range slots {
+		total += s.bytes
+		reqs += s.requests
+		if s.clients != 1 {
+			t.Fatalf("slot %d counts %d clients, want the one rank", s.slot, s.clients)
 		}
 	}
 	if total != 512<<20 {
@@ -318,8 +329,8 @@ func TestSplitExactVsAggregatedConsistency(t *testing.T) {
 	// 9 stripes: aggregated path (9 > 2*4); compare against manual walk.
 	e := ioreq.Extent{Offset: 0, Size: 9 << 20, Rank: 0}
 	got := map[int]int64{}
-	for _, p := range f.split(e) {
-		got[p.ost] += p.size
+	for _, s := range splitOne(t, f, e) {
+		got[(f.firstOST+int(s.slot))%fs.Config().OSTs] += s.bytes
 	}
 	want := map[int]int64{}
 	for s := int64(0); s < 9; s++ {
@@ -330,5 +341,83 @@ func TestSplitExactVsAggregatedConsistency(t *testing.T) {
 		if got[ost] != b {
 			t.Fatalf("OST %d: got %d bytes, want %d (got map %v)", ost, got[ost], b, got)
 		}
+	}
+}
+
+// TestServeLayoutReusesAcrossFirstOST pins that a layout is independent of
+// the OST a file starts on: computed against a file on one FS and served
+// against the same phase of a file starting on other OSTs, it charges
+// exactly what the live phase charges there — under a drift schedule with
+// degraded OSTs, where the absolute OST matters. A layout computed for
+// another file size is recomputed, not reused.
+func TestServeLayoutReusesAcrossFirstOST(t *testing.T) {
+	drifted := func() *cluster.Sim {
+		c := cluster.CoriHaswell(4, 32)
+		c.Drift = &cluster.Drift{Seed: 5, Regimes: []cluster.Regime{
+			{Start: 0, OSTLoad: 0.3, SlowOSTs: 60, Contention: 2}}}
+		s, err := cluster.NewSim(c, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	phases := [][]ioreq.Extent{
+		{{Offset: 0, Size: 3 << 20, Rank: 0}, {Offset: 3 << 20, Size: 5 << 20, Rank: 40, Count: 7}},
+		{{Offset: 1000, Size: 40 << 20, Rank: 3, Count: 64, Span: 48 << 20}},
+	}
+	run := func(shift bool, memo []Layout) (*cluster.Sim, []float64) {
+		sim := drifted()
+		b := &Backend{FS: newFS(t, sim), StripeCount: 6, StripeSize: 1 << 20}
+		if shift {
+			b.FS.Create("other", 17, 1<<20) // moves the next file's first OST
+		}
+		var out []float64
+		for i, ext := range phases {
+			if memo == nil {
+				out = append(out, b.WritePhase("f", ext))
+			} else {
+				out = append(out, b.ServeLayout("f", ext, true, &memo[i]))
+			}
+		}
+		return sim, out
+	}
+
+	memo := make([]Layout, len(phases))
+	run(false, memo) // fill the memo against a file starting on OST 0
+	for i := range memo {
+		if len(memo[i].slots) == 0 {
+			t.Fatalf("phase %d: memo not filled", i)
+		}
+	}
+	liveSim, live := run(true, nil)
+	memoSim, served := run(true, memo)
+	for i := range live {
+		if live[i] != served[i] {
+			t.Errorf("phase %d: served %v, live %v", i, served[i], live[i])
+		}
+	}
+	if liveSim.Now() != memoSim.Now() || *liveSim.Report.Layer("lustre") != *memoSim.Report.Layer("lustre") {
+		t.Errorf("reused layouts diverge:\n live %+v\n memo %+v", *liveSim.Report.Layer("lustre"), *memoSim.Report.Layer("lustre"))
+	}
+
+	// A memo computed for a different file size no longer fits and is
+	// recomputed in place: the second phase laid out against the 8 MiB
+	// the first one wrote pays a trailing RMW edge inside the file, which
+	// the same phase issued first on an empty file does not.
+	grown := []ioreq.Extent{{Offset: 1000, Size: 3<<20 + 5, Rank: 2}}
+	var stale Layout
+	sim := drifted()
+	b := &Backend{FS: newFS(t, sim), StripeCount: 6, StripeSize: 1 << 20}
+	b.WritePhase("f", phases[0])
+	b.ServeLayout("f", grown, true, &stale)
+	sim = drifted()
+	b = &Backend{FS: newFS(t, sim), StripeCount: 6, StripeSize: 1 << 20}
+	ref := drifted()
+	rb := &Backend{FS: newFS(t, ref), StripeCount: 6, StripeSize: 1 << 20}
+	if got, want := b.ServeLayout("f", grown, true, &stale), rb.WritePhase("f", grown); got != want {
+		t.Fatalf("stale memo served %v, live %v", got, want)
+	}
+	if *sim.Report.Layer("lustre") != *ref.Report.Layer("lustre") {
+		t.Fatalf("stale memo counters %+v, live %+v", *sim.Report.Layer("lustre"), *ref.Report.Layer("lustre"))
 	}
 }

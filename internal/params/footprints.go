@@ -16,9 +16,14 @@ package params
 //     switches (which decide how planned extents become wire requests).
 //     The aggregation schedule is computed over the plan-stage artifact, so
 //     its cache key is the union of both footprints.
-//   - ServiceStage: Lustre/cluster service of the wire plan. Striping and
-//     the metadata-cache level feed the runtime cost model directly; this
-//     stage also consumes the run seed (noise), so it is never cached.
+//   - ServiceStage: Lustre/cluster service of the wire plan. It has a
+//     seed-free half and a seeded half. The lustre layout of each data
+//     phase (per-stripe-slot load, busiest node, file size) depends only
+//     on the wire plan and the striping; a replay runtime computes it
+//     once per (wire plan, striping) and reuses it across reps. Serving
+//     a layout (first-OST mapping, cost model, drift, noise) and the
+//     metadata-cache level's miss draws consume the run seed, so they run
+//     live on every rep and no stage artifact is cached for this stage.
 var (
 	PlanStage = []string{Alignment, SieveBufSize, ChunkCache}
 

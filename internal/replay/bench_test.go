@@ -10,7 +10,7 @@ import (
 
 // benchPlan records a small VPIC trace and lowers it for the default
 // configuration, returning everything a replay loop needs.
-func benchPlan(b *testing.B) (*cluster.Cluster, params.StackSettings, *WirePlan) {
+func benchPlan(b testing.TB) (*cluster.Cluster, params.StackSettings, *WirePlan) {
 	b.Helper()
 	c := cluster.CoriHaswell(2, 8)
 	w, err := workload.ByName("vpic", c.Procs())
@@ -71,6 +71,32 @@ func BenchmarkStagedExecFreshStack(b *testing.B) {
 		}
 		if err := rt.Exec(wp, st); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExecReps is one configuration's scoring loop: three seeds
+// replayed on one Runtime over pooled stacks, as TraceEvaluator does per
+// evaluation. Each op starts from an emptied layout memo, as a pooled
+// Runtime does when the next evaluation brings another plan: the first rep
+// computes the plan's lustre layouts, the other two serve them.
+func BenchmarkExecReps(b *testing.B) {
+	c, s, wp := benchPlan(b)
+	pool := workload.NewStackPool(c)
+	var rt Runtime
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.layouts.key = layoutKey{} // the next bind empties the memo
+		for r := int64(0); r < 3; r++ {
+			st, err := pool.Get(s, int64(i)+r*7919)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := rt.Exec(wp, st); err != nil {
+				b.Fatal(err)
+			}
+			pool.Put(st)
 		}
 	}
 }

@@ -31,11 +31,24 @@ import (
 //
 // Both artifacts are pure integer data — no clock, RNG, or backend state —
 // so they are cacheable by parameter projection (StageCache) and one
-// artifact scores every genome that shares the projection. Stage 3 replays
-// the wire plan against a live stack, consuming the service-footprint
-// parameters (striping, metadata-cache level) plus the run seed; it charges
-// time and counters through the same cluster/lustre/mpiio code paths in the
-// same order as a live run, so its report is bit-identical to one.
+// artifact scores every genome that shares the projection.
+//
+// Stage 3 replays the wire plan against a live stack, consuming the
+// service-footprint parameters (striping, metadata-cache level) plus the
+// run seed; it charges time and counters through the same
+// cluster/lustre/mpiio code paths in the same order as a live run, so its
+// report is bit-identical to one. Each lustre data phase splits in two.
+// Its layout (lustre.Layout: the load on each stripe slot, the busiest
+// node's bytes, the file size after the phase) is seed-free: it depends on
+// the phase's extents, the striping and the file size, never on the clock,
+// the RNG, the drift schedule or the OST the file starts on. Serving the
+// layout maps slots to OSTs through the file's first OST (which depends on
+// creation order, and a seeded metadata-touch read can be what creates a
+// file) and runs the cost model, drift, noise and counters. A Runtime
+// keeps the layouts of the last (wire plan, striping) it replayed, so the
+// reps of one configuration compute each layout once and serve it every
+// rep. Metadata-touch reads, whose miss counts are seeded, are served
+// live.
 
 type planOpKind uint8
 
@@ -375,12 +388,16 @@ func LowerPlan(sp *StackPlan, hints mpiio.Hints, cfg hdf5.Config, ppn int) *Wire
 }
 
 // Runtime executes wire plans against live stacks, keeping reusable scratch
-// (MPI-IO handles, metadata extent buffer) across executions. One Runtime
+// (MPI-IO handles, metadata extent buffer) across executions, plus the
+// seed-free lustre layouts of the last wire plan and striping it replayed:
+// repeated replays of one plan — the reps of one configuration — compute
+// each data phase's layout once and only serve it afterwards. One Runtime
 // serves one goroutine.
 type Runtime struct {
 	mpfs    []*mpiio.File
 	fileBuf []mpiio.File // backing storage for mpfs, reopened in place per exec
 	metaBuf []ioreq.Extent
+	layouts layoutMemo
 }
 
 // Exec replays the wire plan against the stack, charging clock time and
@@ -442,6 +459,8 @@ func (rt *Runtime) exec(wp *WirePlan, st *workload.Stack, abort func() bool) err
 	}
 	mpfs := rt.mpfs[:len(wp.Files)]
 	clear(mpfs)
+	lb := st.Lustre()
+	rt.layouts.bind(wp, lb, sim.Cluster.ProcsPerNode)
 
 	var acc float64 // current transfer's data-phase elapsed time
 	for i := range wp.ops {
@@ -453,7 +472,11 @@ func (rt *Runtime) exec(wp *WirePlan, st *workload.Stack, abort func() bool) err
 		case wOpen:
 			name := wp.Files[op.file]
 			mpf := &rt.fileBuf[op.file]
-			if err := mpf.Reopen(sim, lib.Backend(name), name, wp.Nprocs, lib.Hints()); err != nil {
+			be := lib.Backend(name)
+			if lb != nil && be == ioreq.Backend(lb) {
+				be = &rt.layouts
+			}
+			if err := mpf.Reopen(sim, be, name, wp.Nprocs, lib.Hints()); err != nil {
 				return err
 			}
 			mpfs[op.file] = mpf
@@ -480,7 +503,9 @@ func (rt *Runtime) exec(wp *WirePlan, st *workload.Stack, abort func() bool) err
 			if misses > 0 {
 				extents := hdf5.MetaReadExtents(wp.CollMetaOps, wp.Nprocs, wp.PPN, misses, rt.metaBuf[:0])
 				rt.metaBuf = extents[:0]
+				rt.layouts.live = true
 				elapsed, err := mpfs[op.file].ReadIndependent(extents)
+				rt.layouts.live = false
 				if err != nil {
 					return err
 				}

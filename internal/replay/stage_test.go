@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"math/rand"
 	"testing"
 
 	"tunio/internal/cluster"
@@ -183,6 +184,84 @@ func TestStageCacheHitMatchesMiss(t *testing.T) {
 		t.Errorf("cache hit runtime %v != miss %v", stHit.Sim.Now(), stMiss.Sim.Now())
 	}
 	reportsEqual(t, "hit-vs-miss", stHit.Sim.Report, stMiss.Sim.Report)
+}
+
+// TestStageCacheBudgetBoundsMemory pins the stage cache's memory bound:
+// with a budget a few wire plans wide, many distinct configurations keep
+// both generations' plan data within the budget plus one artifact per
+// generation, a wire plan looked up since the last turnover is still a hit,
+// and every wire plan — fresh, promoted or rebuilt after eviction —
+// replays bit-identically to an uncached Lower.
+func TestStageCacheBudgetBoundsMemory(t *testing.T) {
+	c := cluster.CoriHaswell(2, 8)
+	tr := recordTrace(t, "flash", 1)
+	space := params.Space()
+	hot := params.DefaultAssignment(space)
+	ref, err := Lower(tr, hot.Settings(), c.ProcsPerNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewSharedStageCache()
+	cache.budget = 6 * ref.size()
+	cache.Register("k", tr)
+	view := cache.View("k")
+
+	replay := func(wp *WirePlan, s params.StackSettings) *workload.Stack {
+		st, err := workload.BuildStack(c, s, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := (&Runtime{}).Exec(wp, st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	rng := rand.New(rand.NewSource(3))
+	var largest int64
+	for i := 0; i < 40; i++ {
+		g := make([]int, len(space))
+		for j, p := range space {
+			g[j] = rng.Intn(len(p.Values))
+		}
+		a, err := params.FromGenome(space, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range []*params.Assignment{a, hot} {
+			s := a.Settings()
+			wp, err := view.WireFor(a, s, c.ProcsPerNode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := Lower(tr, s, c.ProcsPerNode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := replay(wp, s), replay(fresh, s)
+			if got.Sim.Now() != want.Sim.Now() {
+				t.Fatalf("config %d: cached wire plan replays to %v, uncached %v", i, got.Sim.Now(), want.Sim.Now())
+			}
+			reportsEqual(t, "cached-vs-uncached", want.Sim.Report, got.Sim.Report)
+			sp, err := BuildStackPlan(tr, s.HDF5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			largest = max(largest, wp.size(), sp.size())
+		}
+		if held := cache.cur.Load().bytes.Load() + cache.prev.Load().bytes.Load(); held > cache.budget+2*largest {
+			t.Fatalf("config %d: cache holds %d bytes of plans, budget %d", i, held, cache.budget)
+		}
+	}
+	if cache.prev.Load().bytes.Load() == 0 {
+		t.Fatal("40 configurations never turned the generations over; the budget is not exercised")
+	}
+	hits := view.Stats().WireHits
+	if _, err := view.WireFor(hot, hot.Settings(), c.ProcsPerNode); err != nil {
+		t.Fatal(err)
+	}
+	if view.Stats().WireHits != hits+1 {
+		t.Fatal("a wire plan used in every round was evicted")
+	}
 }
 
 // TestPooledStackMatchesFresh proves a Reset pooled stack is run-for-run

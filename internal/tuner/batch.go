@@ -132,7 +132,8 @@ func (g *Gate) Leave() {
 // contract the pool's results are bit-identical to a serial pass for any
 // worker count: results are committed by batch index, and on multiple
 // failures the error of the smallest batch index wins, matching where a
-// serial pass would have stopped.
+// serial pass would have stopped. A panic inside Eval is that index's
+// error, not a crash of the process.
 type Pool struct {
 	Eval Evaluator
 	// Workers bounds concurrency; 0 means GOMAXPROCS.
@@ -159,9 +160,7 @@ func (p *Pool) EvaluateBatch(ctx context.Context, batch []*params.Assignment, it
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			p.Gate.Enter()
-			perf, cost, err := p.Eval.Evaluate(a, iteration)
-			p.Gate.Leave()
+			perf, cost, err := p.evaluate(a, iteration)
 			if err != nil {
 				return nil, &BatchError{Index: i, Err: err}
 			}
@@ -178,9 +177,7 @@ func (p *Pool) EvaluateBatch(ctx context.Context, batch []*params.Assignment, it
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				p.Gate.Enter()
-				perf, cost, err := p.Eval.Evaluate(batch[i], iteration)
-				p.Gate.Leave()
+				perf, cost, err := p.evaluate(batch[i], iteration)
 				if err != nil {
 					errs[i] = err
 					continue
@@ -208,6 +205,20 @@ feed:
 		}
 	}
 	return out, nil
+}
+
+// evaluate runs one evaluation under a gate slot and a panic boundary: a
+// panic inside Eval (the lustre backend panics on invalid extents) is
+// returned as the evaluation's error.
+func (p *Pool) evaluate(a *params.Assignment, iteration int) (perf, cost float64, err error) {
+	p.Gate.Enter()
+	defer p.Gate.Leave()
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("tuner: evaluation panicked: %v", r)
+		}
+	}()
+	return p.Eval.Evaluate(a, iteration)
 }
 
 // Memo adds a genome-keyed memoization cache in front of a BatchEvaluator:

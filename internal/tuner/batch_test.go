@@ -165,6 +165,43 @@ func TestPoolErrorSmallestIndexWins(t *testing.T) {
 	}
 }
 
+// TestPoolPanicBecomesError pins the pool's panic boundary: an evaluator
+// that panics on one genome fails that batch index with an error naming
+// the panic, under the smallest-index rule, at every worker count.
+func TestPoolPanicBecomesError(t *testing.T) {
+	space := params.Space()
+	batch := make([]*params.Assignment, 6)
+	for i := range batch {
+		g := params.DefaultAssignment(space).Genome()
+		g[0] = i
+		a, err := params.FromGenome(space, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = a
+	}
+	const k = 2
+	eval := FuncEvaluator(func(a *params.Assignment, _ int) (float64, float64, error) {
+		switch a.Genome()[0] {
+		case k:
+			panic("lustre: invalid extent")
+		case 4:
+			return 0, 0, fmt.Errorf("later failure")
+		}
+		return 1, 1, nil
+	})
+	for _, workers := range []int{1, 3} {
+		_, err := (&Pool{Eval: eval, Workers: workers}).EvaluateBatch(context.Background(), batch, 1)
+		var be *BatchError
+		if !errors.As(err, &be) {
+			t.Fatalf("workers=%d: want *BatchError, got %v", workers, err)
+		}
+		if be.Index != k || !strings.Contains(be.Err.Error(), "panicked: lustre: invalid extent") {
+			t.Fatalf("workers=%d: got index %d error %q, want index %d with the panic", workers, be.Index, be.Err, k)
+		}
+	}
+}
+
 func TestPoolHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

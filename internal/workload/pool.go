@@ -36,6 +36,10 @@ func (st *Stack) rewire(s params.StackSettings) error {
 	return nil
 }
 
+// Lustre returns the lustre backend the stack's library resolves
+// non-memory paths to.
+func (st *Stack) Lustre() *lustre.Backend { return st.lb }
+
 // Reset rewinds the stack for a fresh run under new settings and seed,
 // reusing the simulation context and storage backends (with their scratch
 // buffers) instead of rebuilding them. A reset stack is indistinguishable

@@ -30,7 +30,7 @@ trainout="${2:-BENCH_train.json}"
 driftout="${3:-BENCH_drift.json}"
 
 echo "== micro-benchmarks (ns/op, B/op) =="
-go test -run '^$' -bench 'BenchmarkStagedExec|BenchmarkEval(DirectInterp|TraceReplay)|BenchmarkWarmHit' \
+go test -run '^$' -bench 'BenchmarkStagedExec|BenchmarkExecReps|BenchmarkEval(DirectInterp|TraceReplay)|BenchmarkWarmHit' \
     -benchmem ./internal/replay ./internal/tuner
 
 echo "== population benchmark (32 genomes x 5 workloads) -> $out =="

@@ -32,7 +32,7 @@ echo "== go test -race (evaluation engine) =="
 # pattern was requested: the stage cache and stack pool are shared across
 # workers, so the bit-identity proofs must hold concurrently too.
 go test -race -run 'TestPool|TestMemo|TestSeedFor|TestRunBatch|TestRunKernel|TestTune(ParallelDeterminism|Cancellation|Memoization)|TestTraceEvaluator|TestGate|TestEngineCrossSessionSharing|TestEngineRejectsNegativeCounts' ./internal/tuner .
-go test -race -run 'TestStagedExec|TestStageCache|TestSharedStageCache|TestKernelStore|TestPooledStack' ./internal/replay
+go test -race -run 'TestStagedExec|TestLayoutReuse|TestStageCache|TestSharedStageCache|TestKernelStore|TestPooledStack' ./internal/replay
 go test -race ./internal/cowmap
 
 echo "== go test -race (tuning server) =="
