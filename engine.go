@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"sync"
 
-	"tunio/internal/cinterp"
 	"tunio/internal/cluster"
 	"tunio/internal/core"
 	"tunio/internal/csrc"
@@ -393,10 +392,25 @@ func (e *Engine) Tune(ctx context.Context, spec JobSpec) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.start(ctx, spec, space, c, kern)
+}
+
+// start reserves the tenant's session slot and launches the session
+// goroutine on the resolved kernel.
+func (e *Engine) start(ctx context.Context, spec JobSpec, space []params.Parameter, c *cluster.Cluster, kern sessionKernel) (*Run, error) {
 	if err := e.acquire(spec.Tenant); err != nil {
 		return nil, err
 	}
-
+	workers := spec.Parallelism
+	if workers == 0 {
+		workers = 1
+	}
+	k := tuner.Kernel{
+		Workload: kern.w, Prog: kern.prog,
+		Cluster: c, Reps: spec.Reps, Seed: spec.Seed,
+		Stages: e.stages, Store: e.store, StoreKey: kern.storeKey,
+		Gate: e.gate, Workers: workers,
+	}
 	runCtx, cancel := context.WithCancel(ctx)
 	r := &Run{
 		tenant:  spec.Tenant,
@@ -404,11 +418,7 @@ func (e *Engine) Tune(ctx context.Context, spec JobSpec) (*Run, error) {
 		done:    make(chan struct{}),
 		changed: make(chan struct{}),
 	}
-	if spec.Online != nil {
-		go e.runOnlineSession(runCtx, r, spec, space, c, kern)
-	} else {
-		go e.runSession(runCtx, r, spec, space, c, kern)
-	}
+	go e.session(runCtx, r, spec, space, k)
 	return r, nil
 }
 
@@ -449,9 +459,30 @@ func (e *Engine) release(tenant string, res *Result, err error) {
 	}
 }
 
-// runSession is the session goroutine: one tuner.RunKernel run pointed
-// at the engine's shared caches and gate.
-func (e *Engine) runSession(ctx context.Context, r *Run, spec JobSpec, space []params.Parameter, c *cluster.Cluster, kern sessionKernel) {
+// session is the session goroutine: a one-shot or an online run on k,
+// the kernel wired to the engine's shared caches and gate. It is the
+// engine's panic boundary: a panic anywhere in the session — trace
+// recording, the interpreter, a drift replay — fails the job, counted in
+// EngineStats, instead of killing the process.
+func (e *Engine) session(ctx context.Context, r *Run, spec JobSpec, space []params.Parameter, k tuner.Kernel) {
+	var res *Result
+	var err error
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("tunio: session panicked: %v", p)
+		}
+		e.release(spec.Tenant, res, err)
+		r.finish(res, err)
+	}()
+	if spec.Online != nil {
+		res, err = e.runOnlineSession(ctx, r, spec, space, k)
+	} else {
+		res, err = e.runSession(ctx, r, spec, space, k)
+	}
+}
+
+// runSession runs a one-shot job: one tuner.RunKernel run.
+func (e *Engine) runSession(ctx context.Context, r *Run, spec JobSpec, space []params.Parameter, k tuner.Kernel) (*Result, error) {
 	cfg := tuner.Config{
 		Space:         space,
 		PopSize:       spec.PopSize,
@@ -472,81 +503,25 @@ func (e *Engine) runSession(ctx context.Context, r *Run, spec JobSpec, space []p
 	case spec.Heuristic:
 		cfg.Stopper = tuner.NewHeuristicStopper()
 	}
-
-	workers := spec.Parallelism
-	if workers == 0 {
-		workers = 1
-	}
-	res, err := tuner.RunKernel(ctx, cfg, tuner.Kernel{
-		Workload: kern.w, Prog: kern.prog,
-		Cluster: c, Reps: spec.Reps, Seed: spec.Seed,
-		Stages: e.stages, Store: e.store, StoreKey: kern.storeKey,
-		Gate: e.gate, Workers: workers,
-	})
-	e.release(spec.Tenant, res, err)
-	r.finish(res, err)
+	return tuner.RunKernel(ctx, cfg, k)
 }
 
-// traceForOnline resolves the kernel's trace for an online session:
-// served from the shared kernel store when the kernel was seen before,
-// recorded once otherwise, and registered in the shared stage cache so
-// the controller's replays hit cross-session stage plans.
-func (e *Engine) traceForOnline(kern sessionKernel, c *cluster.Cluster, space []params.Parameter, seed int64) (*replay.Trace, *replay.CacheView, error) {
-	if ent, ok := e.store.Get(kern.storeKey); ok {
-		e.stages.Register(ent.KernelHash, ent.Trace)
-		return ent.Trace, e.stages.View(ent.KernelHash), nil
-	}
-	st, err := workload.BuildStack(c, params.DefaultAssignment(space).Settings(), seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	var t *replay.Trace
-	if kern.prog != nil {
-		t, err = replay.RecordFunc(st, func(st *workload.Stack) error {
-			_, err := cinterp.Run(kern.prog, st.Lib)
-			return err
-		})
-	} else {
-		t, err = replay.Record(kern.w, st)
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("tunio: online trace recording: %w", err)
-	}
-	key := replay.TraceKey(t)
-	e.store.Put(kern.storeKey, replay.KernelEntry{Trace: t, KernelHash: key})
-	e.stages.Register(key, t)
-	return t, e.stages.View(key), nil
-}
-
-// runOnlineSession is the session goroutine for online (drift-aware)
-// jobs: record (or adopt) the trace, then hand the session to the
-// drift controller. Window points double as synthesized curve points so
-// point-based clients keep seeing progress.
-func (e *Engine) runOnlineSession(ctx context.Context, r *Run, spec JobSpec, space []params.Parameter, c *cluster.Cluster, kern sessionKernel) {
-	trace, view, err := e.traceForOnline(kern, c, space, spec.Seed)
-	if err != nil {
-		e.release(spec.Tenant, nil, err)
-		r.finish(nil, err)
-		return
-	}
+// runOnlineSession runs an online (drift-aware) job: one tuner.RunDrift
+// run on the same kernel a one-shot job gets. Window points double as
+// synthesized curve points so point-based clients keep seeing progress.
+func (e *Engine) runOnlineSession(ctx context.Context, r *Run, spec JobSpec, space []params.Parameter, k tuner.Kernel) (*Result, error) {
 	o := spec.Online
 	dcfg := tuner.DriftConfig{
-		Space:       space,
-		Cluster:     c,
-		Trace:       trace,
-		Cache:       view,
-		Seed:        spec.Seed,
-		Windows:     o.Windows,
-		WindowGap:   o.WindowGap,
-		Threshold:   o.Threshold,
-		Patience:    o.Patience,
-		Neighbors:   o.Neighbors,
-		Rounds:      o.Rounds,
-		InitRounds:  o.InitRounds,
-		Reps:        spec.Reps,
-		Prune:       o.Prune,
-		Oracle:      o.Oracle,
-		Parallelism: spec.Parallelism,
+		Space:      space,
+		Windows:    o.Windows,
+		WindowGap:  o.WindowGap,
+		Threshold:  o.Threshold,
+		Patience:   o.Patience,
+		Neighbors:  o.Neighbors,
+		Rounds:     o.Rounds,
+		InitRounds: o.InitRounds,
+		Prune:      o.Prune,
+		Oracle:     o.Oracle,
 	}
 	if o.GA {
 		dcfg.GA = &tuner.GARetune{PopSize: spec.PopSize, Iterations: spec.MaxIterations}
@@ -578,20 +553,18 @@ func (e *Engine) runOnlineSession(ctx context.Context, r *Run, spec JobSpec, spa
 		r.publishOnline(OnlineEvent{Retune: &v})
 	}
 
-	dres, err := tuner.RunDrift(ctx, dcfg)
-	var res *Result
-	if dres != nil {
-		r.setDrift(dres)
-		res = &tuner.Result{
-			Best:        dres.Final,
-			BestPerf:    dres.MeanPerf,
-			Evaluations: dres.Evaluations,
-			StoppedAt:   len(dres.Windows),
-			Curve:       metrics.Curve(r.Points(0)),
-		}
+	dres, err := tuner.RunDrift(ctx, dcfg, k)
+	if dres == nil {
+		return nil, err
 	}
-	e.release(spec.Tenant, res, err)
-	r.finish(res, err)
+	r.setDrift(dres)
+	return &tuner.Result{
+		Best:        dres.Final,
+		BestPerf:    dres.MeanPerf,
+		Evaluations: dres.Evaluations,
+		StoppedAt:   len(dres.Windows),
+		Curve:       metrics.Curve(r.Points(0)),
+	}, err
 }
 
 // Run is a live (or finished) tuning session: a progress stream, a cancel

@@ -421,3 +421,42 @@ func TestEngineRejectsNegativeCounts(t *testing.T) {
 		t.Fatalf("rejected jobs must not count as started: %+v", st)
 	}
 }
+
+// panicky is a workload whose every run panics.
+type panicky struct{}
+
+func (panicky) Name() string                 { return "panicky" }
+func (panicky) Run(st *workload.Stack) error { panic("workload exploded") }
+
+// The session goroutine is the engine's panic boundary: a kernel that
+// panics — here in trace recording, on both the one-shot and the online
+// path — fails its job, counted in EngineStats, and the engine keeps
+// serving.
+func TestEngineSessionPanicBecomesFailedJob(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	e := NewEngine(EngineOptions{Workers: 1})
+	c := cluster.CoriHaswell(1, 8)
+	kern := sessionKernel{w: panicky{}, storeKey: "workload:panicky/8"}
+	for _, online := range []*OnlineSpec{nil, {Windows: 2}} {
+		spec := JobSpec{PopSize: 2, MaxIterations: 1, Reps: 1, Online: online}
+		run, err := e.start(ctx, spec, ParameterSpace(), c, kern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := run.Wait(); err == nil || !strings.Contains(err.Error(), "panicked: workload exploded") {
+			t.Fatalf("online=%v: err = %v, want the panic as the job's error", online != nil, err)
+		}
+	}
+	st := e.Stats()
+	if st.SessionsFailed != 2 || st.SessionsActive != 0 || st.InFlight != 0 {
+		t.Fatalf("stats after two panicking jobs: %+v", st)
+	}
+	run, err := e.Tune(ctx, sharedSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Wait(); err != nil {
+		t.Fatalf("engine stopped serving after a panicking job: %v", err)
+	}
+}

@@ -78,24 +78,16 @@ func driftBench(cfg Config, names []string) (*DriftBenchResult, error) {
 	c := cfg.componentCluster()
 	c.Drift = driftBenchSchedule(regimeStart)
 
+	// One store records each workload once for its plain and pruned runs.
+	store := replay.NewKernelStore()
 	for _, name := range names {
 		w, err := workload.ByName(name, c.Procs())
 		if err != nil {
 			return nil, err
 		}
-		st, err := workload.BuildStack(c, params.DefaultAssignment(params.Space()).Settings(), cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		trace, err := replay.Record(w, st)
-		if err != nil {
-			return nil, fmt.Errorf("driftbench: %s: %w", name, err)
-		}
+		k := tuner.Kernel{Workload: w, Cluster: c, Seed: cfg.Seed + 600, Store: store, StoreKey: name}
 		dcfg := tuner.DriftConfig{
 			Space:      params.Space(),
-			Cluster:    c,
-			Trace:      trace,
-			Seed:       cfg.Seed + 600,
 			Windows:    windows,
 			WindowGap:  10,
 			Neighbors:  6,
@@ -103,12 +95,12 @@ func driftBench(cfg Config, names []string) (*DriftBenchResult, error) {
 			InitRounds: 3,
 			Oracle:     true,
 		}
-		plain, err := tuner.RunDrift(context.Background(), dcfg)
+		plain, err := tuner.RunDrift(context.Background(), dcfg, k)
 		if err != nil {
 			return nil, fmt.Errorf("driftbench: %s: %w", name, err)
 		}
 		dcfg.Prune = true
-		pruned, err := tuner.RunDrift(context.Background(), dcfg)
+		pruned, err := tuner.RunDrift(context.Background(), dcfg, k)
 		if err != nil {
 			return nil, fmt.Errorf("driftbench: %s (pruned): %w", name, err)
 		}

@@ -100,7 +100,7 @@ func evalBench(cfg Config, names []string) (*EvalBenchResult, error) {
 		// genomes compares bit-identical work. The direct baseline is the
 		// constant-folded interpreter, RunKernel's fallback.
 		direct := &tuner.SeededCSourceEvaluator{Prog: progs[0], Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 500}
-		traced := &tuner.TraceEvaluator{Prog: progs[1], Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 500}
+		traced := &tuner.TraceEvaluator{Kernel: tuner.Kernel{Prog: progs[1], Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 500}}
 
 		row := EvalRow{Workload: name, Identical: true}
 		dPerf, dCost, err := scorePopulation(direct, genomes, &row.Direct)

@@ -4,13 +4,13 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"tunio/internal/core"
-	"tunio/internal/params"
 	"tunio/internal/replay"
+	"tunio/internal/tuner"
 	"tunio/internal/workload"
 )
 
@@ -25,15 +25,16 @@ func kernelStoreKey(w workload.Workload, procs int) string {
 }
 
 // replaySweep scores core.SweepPlan's run list through the staged replay
-// engine: each kernel runs once under defaults to record its trace (or is
-// served whole from the kernel store), and every planned configuration is
-// scored by replaying cached stage artifacts against pooled stacks.
+// engine: each kernel's trace comes from tuner.Kernel.Trace (recorded once
+// under defaults, or served whole from the kernel store), and every
+// planned configuration is scored by replaying cached stage artifacts
+// against pooled stacks, fanned out by tuner.ForEach.
 //
 // Per-run results are bit-identical to core.Sweep's direct execution —
 // pooled stacks reset to fresh-build state and Runtime.Exec charges the
 // same layer code paths in the same order as a live run — and per-run
 // seeds come from the plan, so the outcome is independent of Workers.
-// The first failing run's error wins, matching tuner.Pool.
+// The first failing run's error wins, as in tuner.Pool.
 func replaySweep(ctx context.Context, cfg *Config) (*core.SweepResult, []string, error) {
 	if len(cfg.Kernels) == 0 {
 		return nil, nil, fmt.Errorf("train: sweep needs at least one kernel")
@@ -43,41 +44,19 @@ func replaySweep(ctx context.Context, cfg *Config) (*core.SweepResult, []string,
 		return nil, nil, err
 	}
 
-	// Record (or fetch) each kernel's trace and bind a cache view per
-	// kernel. The cache may be shared process-wide; kernel content hashes
-	// keep one kernel's artifacts from answering for another's.
-	cache := cfg.StageCache
-	if cache == nil {
-		cache = replay.NewSharedStageCache()
-	}
-	defaults := params.DefaultAssignment(cfg.Space).Settings()
+	// Each kernel gets a private stage cache: the sweep's kernels are
+	// custom-sized, so no other run shares their artifacts.
 	views := make([]*replay.CacheView, len(cfg.Kernels))
 	kernKeys := make([]string, len(cfg.Kernels))
 	for i, w := range cfg.Kernels {
-		storeKey := kernelStoreKey(w, cfg.Cluster.Procs())
-		var t *replay.Trace
-		var hash string
-		if cfg.Store != nil {
-			if ent, ok := cfg.Store.Get(storeKey); ok {
-				t, hash = ent.Trace, ent.KernelHash
-			}
+		kt, err := tuner.Kernel{
+			Workload: w, Cluster: cfg.Cluster, Seed: cfg.Seed,
+			Store: cfg.Store, StoreKey: kernelStoreKey(w, cfg.Cluster.Procs()),
+		}.Trace(cfg.Space)
+		if err != nil {
+			return nil, nil, fmt.Errorf("train: recording %s: %w", w.Name(), err)
 		}
-		if t == nil {
-			st, err := workload.BuildStack(cfg.Cluster, defaults, cfg.Seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			if t, err = replay.Record(w, st); err != nil {
-				return nil, nil, fmt.Errorf("train: recording %s: %w", w.Name(), err)
-			}
-			hash = replay.TraceKey(t)
-			if cfg.Store != nil {
-				cfg.Store.Put(storeKey, replay.KernelEntry{Trace: t, KernelHash: hash})
-			}
-		}
-		cache.Register(hash, t)
-		views[i] = cache.View(hash)
-		kernKeys[i] = hash
+		views[i], kernKeys[i] = kt.View, kt.Hash
 	}
 
 	out := &core.SweepResult{
@@ -90,45 +69,21 @@ func replaySweep(ctx context.Context, cfg *Config) (*core.SweepResult, []string,
 	}
 
 	stacks := workload.NewStackPool(cfg.Cluster)
-	errs := make([]error, len(runs))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(runs) {
-		workers = len(runs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rt := &replay.Runtime{}
-			for i := range idx {
-				cfg.Gate.Enter()
-				errs[i] = scoreRun(rt, stacks, views, cfg, runs[i], out.Perfs, i)
-				cfg.Gate.Leave()
-			}
-		}()
-	}
-feed:
-	for i := range runs {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
+	var rts sync.Pool // *replay.Runtime
+	err = tuner.ForEach(ctx, len(runs), cfg.Workers, nil, func(i int) error {
+		rt, _ := rts.Get().(*replay.Runtime)
+		if rt == nil {
+			rt = &replay.Runtime{}
 		}
+		defer rts.Put(rt)
+		return scoreRun(rt, stacks, views, cfg, runs[i], out.Perfs, i)
+	})
+	var be *tuner.BatchError
+	if errors.As(err, &be) {
+		return nil, nil, fmt.Errorf("train: sweep run %d (%s): %w", be.Index, cfg.Kernels[runs[be.Index].Kernel].Name(), be.Err)
 	}
-	close(idx)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("train: sweep run %d (%s): %w", i, cfg.Kernels[runs[i].Kernel].Name(), err)
-		}
 	}
 	return out, kernKeys, nil
 }

@@ -110,9 +110,9 @@ func (g *Gate) InFlight() int {
 	return len(g.sem)
 }
 
-// Enter blocks until a slot is free (no-op for a nil gate). Exported so
-// other evaluation loops — the offline training sweep — can share one
-// process-wide budget with the tuning pools.
+// Enter blocks until a slot is free (no-op for a nil gate). Evaluations
+// outside ForEach, such as the drift controller's service windows, take
+// their slot of the shared budget with it.
 func (g *Gate) Enter() {
 	if g != nil {
 		g.sem <- struct{}{}
@@ -126,11 +126,11 @@ func (g *Gate) Leave() {
 	}
 }
 
-// Pool evaluates a batch on a bounded worker pool. Eval must be safe for
-// concurrent use and deterministic in (assignment, iteration) — i.e. it
-// must not derive behavior from call order (see SeedFor). Under that
-// contract the pool's results are bit-identical to a serial pass for any
-// worker count: results are committed by batch index, and on multiple
+// Pool evaluates a batch on a bounded worker pool (ForEach). Eval must be
+// safe for concurrent use and deterministic in (assignment, iteration) —
+// i.e. it must not derive behavior from call order (see SeedFor). Under
+// that contract the pool's results are bit-identical to a serial pass for
+// any worker count: results are committed by batch index, and on multiple
 // failures the error of the smallest batch index wins, matching where a
 // serial pass would have stopped. A panic inside Eval is that index's
 // error, not a crash of the process.
@@ -146,9 +146,29 @@ type Pool struct {
 
 // EvaluateBatch implements BatchEvaluator.
 func (p *Pool) EvaluateBatch(ctx context.Context, batch []*params.Assignment, iteration int) ([]EvalResult, error) {
-	n := len(batch)
-	out := make([]EvalResult, n)
-	workers := p.Workers
+	out := make([]EvalResult, len(batch))
+	err := ForEach(ctx, len(batch), p.Workers, p.Gate, func(i int) error {
+		perf, cost, err := p.Eval.Evaluate(batch[i], iteration)
+		out[i] = EvalResult{Perf: perf, CostMinutes: cost}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ForEach calls fn(i) for every i in [0, n) on at most workers goroutines
+// (0 means GOMAXPROCS): the one indexed worker loop behind every
+// evaluation fan-out — tuning pools, the drift controller's candidate
+// batches and the training sweep. Each call holds one gate slot for its
+// duration, and a panic inside fn is index i's error, not a crash of the
+// process. Once ctx ends no further index starts and ForEach returns
+// ctx.Err() after the calls in flight finish. Otherwise it returns a
+// *BatchError for the smallest failing index — where a serial pass would
+// have stopped. With at most one worker it is that serial pass: indices
+// run in order on the caller's goroutine, stopping at the first error.
+func ForEach(ctx context.Context, n, workers int, gate *Gate, fn func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -156,17 +176,15 @@ func (p *Pool) EvaluateBatch(ctx context.Context, batch []*params.Assignment, it
 		workers = n
 	}
 	if workers <= 1 {
-		for i, a := range batch {
+		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
-			perf, cost, err := p.evaluate(a, iteration)
-			if err != nil {
-				return nil, &BatchError{Index: i, Err: err}
+			if err := gatedCall(gate, fn, i); err != nil {
+				return &BatchError{Index: i, Err: err}
 			}
-			out[i] = EvalResult{Perf: perf, CostMinutes: cost}
 		}
-		return out, nil
+		return nil
 	}
 
 	errs := make([]error, n)
@@ -177,12 +195,7 @@ func (p *Pool) EvaluateBatch(ctx context.Context, batch []*params.Assignment, it
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				perf, cost, err := p.evaluate(batch[i], iteration)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				out[i] = EvalResult{Perf: perf, CostMinutes: cost}
+				errs[i] = gatedCall(gate, fn, i)
 			}
 		}()
 	}
@@ -197,28 +210,28 @@ feed:
 	close(idx)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	for i, err := range errs {
 		if err != nil {
-			return nil, &BatchError{Index: i, Err: err}
+			return &BatchError{Index: i, Err: err}
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// evaluate runs one evaluation under a gate slot and a panic boundary: a
-// panic inside Eval (the lustre backend panics on invalid extents) is
-// returned as the evaluation's error.
-func (p *Pool) evaluate(a *params.Assignment, iteration int) (perf, cost float64, err error) {
-	p.Gate.Enter()
-	defer p.Gate.Leave()
+// gatedCall runs fn(i) under a gate slot and a panic boundary: a panic
+// inside fn (the lustre backend panics on invalid extents) is returned as
+// the call's error.
+func gatedCall(gate *Gate, fn func(i int) error, i int) (err error) {
+	gate.Enter()
+	defer gate.Leave()
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("tuner: evaluation panicked: %v", r)
 		}
 	}()
-	return p.Eval.Evaluate(a, iteration)
+	return fn(i)
 }
 
 // Memo adds a genome-keyed memoization cache in front of a BatchEvaluator:

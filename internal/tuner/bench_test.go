@@ -45,7 +45,7 @@ func BenchmarkEvalDirectInterp(b *testing.B) {
 // wire-plan replay on a pooled stack.
 func BenchmarkEvalTraceReplay(b *testing.B) {
 	c := cluster.CoriHaswell(2, 8)
-	e := &TraceEvaluator{Prog: benchProg(b, c), Cluster: c, Reps: 1, Seed: 3}
+	e := &TraceEvaluator{Kernel: Kernel{Prog: benchProg(b, c), Cluster: c, Reps: 1, Seed: 3}}
 	a := params.DefaultAssignment(params.Space())
 	if _, _, err := e.Evaluate(a, 0); err != nil {
 		b.Fatal(err)

@@ -53,23 +53,12 @@ import (
 // candidate order, and the drift schedule itself is a pure function of
 // simulated time.
 
-// DriftConfig configures an online tuning run (RunDrift).
+// DriftConfig configures an online tuning run (RunDrift). What is tuned,
+// on which machine, with which seed and shared state comes from the
+// Kernel, as for RunKernel.
 type DriftConfig struct {
 	// Space is the tuned parameter space.
 	Space []params.Parameter
-	// Cluster is the machine, typically carrying a Drift schedule
-	// (without one the controller still works — it just never needs to
-	// re-tune).
-	Cluster *cluster.Cluster
-	// Trace is the kernel's recorded I/O trace; service windows and
-	// candidate evaluations both replay it.
-	Trace *replay.Trace
-	// Cache, when non-nil, is a shared stage-cache view to serve wire
-	// plans from (stage artifacts are drift-independent: drift only
-	// affects stage-3 execution). Nil builds a private cache.
-	Cache *replay.CacheView
-	// Seed drives every stochastic choice.
-	Seed int64
 
 	// Windows is the number of service windows to run (default 40).
 	Windows int
@@ -89,18 +78,12 @@ type DriftConfig struct {
 	Neighbors  int
 	Rounds     int
 	InitRounds int
-	// Reps is the number of replays averaged per evaluation (default 1;
-	// service windows always run once).
-	Reps int
 	// Prune enables SHAMan-style mid-replay pruning: a candidate's
 	// replay aborts once its bandwidth upper bound (full trace bytes
 	// over partial app-layer times) falls below the incumbent's measured
-	// bandwidth. Local-search mode only, and requires Reps == 1 (an
-	// averaged objective has no sound mid-replay bound).
+	// bandwidth. Local-search mode only, and requires Kernel.Reps <= 1
+	// (an averaged objective has no sound mid-replay bound).
 	Prune bool
-	// Parallelism is the worker count for candidate evaluation (default
-	// 1); results are identical for any value >= 1.
-	Parallelism int
 
 	// GA, when non-nil, re-tunes with the genetic pipeline warm-started
 	// from the incumbent instead of local search.
@@ -206,12 +189,6 @@ func (c *DriftConfig) fillDefaults() {
 	if c.InitRounds == 0 {
 		c.InitRounds = 2 * c.Rounds
 	}
-	if c.Reps == 0 {
-		c.Reps = 1
-	}
-	if c.Parallelism < 1 {
-		c.Parallelism = 1
-	}
 	if c.GA != nil {
 		if c.GA.PopSize == 0 {
 			c.GA.PopSize = 8
@@ -233,9 +210,10 @@ const (
 
 type driftRun struct {
 	cfg   DriftConfig
+	k     Kernel // Reps defaulted to 1
 	wire  *replay.CacheView
 	pool  *workload.StackPool
-	ppn   int
+	rts   sync.Pool // *replay.Runtime
 	drift *cluster.Drift
 
 	mask  []bool // picker's active-parameter mask
@@ -243,8 +221,9 @@ type driftRun struct {
 	memo  *Memo  // GA-mode memo, keyed by re-tune epoch (stale regimes never hit)
 
 	// Trace constants for the pruning bound, captured from the first
-	// completed replay (always serial — the incumbent's evaluation
-	// precedes every concurrent candidate batch).
+	// completed replay (always serial — the incumbent's evaluation, or
+	// the GA's one-genome baseline batch, precedes every concurrent
+	// batch).
 	bytesRead    float64
 	bytesWritten float64
 	alpha        float64
@@ -261,43 +240,48 @@ type candScore struct {
 	err    error
 }
 
-// RunDrift runs the online controller and returns its window series,
-// re-tune log, and final incumbent.
-func RunDrift(ctx context.Context, cfg DriftConfig) (*DriftResult, error) {
+// RunDrift runs the online controller on k and returns its window
+// series, re-tune log, and final incumbent. It mirrors RunKernel: the
+// trace comes from Kernel.Trace (so the kernel store, stage cache and
+// signature check are shared with one-shot runs), candidate batches fan
+// out on k.Workers (0 = GOMAXPROCS; the curve is identical for any
+// value), and every replay — service windows included — holds a slot of
+// k.Gate. Reps defaults to 1 here, not 3: pruning needs a single replay
+// per evaluation, and service windows always run once.
+func RunDrift(ctx context.Context, cfg DriftConfig, k Kernel) (*DriftResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if len(cfg.Space) == 0 {
 		return nil, fmt.Errorf("tuner: drift: empty parameter space")
 	}
-	if cfg.Cluster == nil {
+	if k.Cluster == nil {
 		return nil, fmt.Errorf("tuner: drift: nil cluster")
 	}
-	if err := cfg.Cluster.Validate(); err != nil {
+	if err := k.Cluster.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Trace == nil {
-		return nil, fmt.Errorf("tuner: drift: nil trace (record the kernel first)")
 	}
 	if cfg.Threshold < 0 || cfg.WindowGap < 0 {
 		return nil, fmt.Errorf("tuner: drift: Threshold and WindowGap must be >= 0")
 	}
-	if cfg.Prune && cfg.Reps > 1 {
+	if cfg.Prune && k.Reps > 1 {
 		return nil, fmt.Errorf("tuner: drift: Prune requires Reps == 1 (no sound mid-replay bound on an averaged objective)")
 	}
 	cfg.fillDefaults()
+	if k.Reps == 0 {
+		k.Reps = 1
+	}
+	kt, err := k.Trace(cfg.Space)
+	if err != nil {
+		return nil, fmt.Errorf("tuner: drift: %w", err)
+	}
 
 	d := &driftRun{
 		cfg:   cfg,
-		pool:  workload.NewStackPool(cfg.Cluster),
-		ppn:   cfg.Cluster.ProcsPerNode,
-		drift: cfg.Cluster.Drift,
-	}
-	d.wire = cfg.Cache
-	if d.wire == nil {
-		c := replay.NewSharedStageCache()
-		c.Register("", cfg.Trace)
-		d.wire = c.View("")
+		k:     k,
+		wire:  kt.View,
+		pool:  workload.NewStackPool(k.Cluster),
+		drift: k.Cluster.Drift,
 	}
 	if cfg.Picker != nil {
 		cfg.Picker.Reset()
@@ -344,8 +328,7 @@ func RunDrift(ctx context.Context, cfg DriftConfig) (*DriftResult, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("tuner: drift canceled at window %d: %w", w, err)
 		}
-		var rtm replay.Runtime
-		sc := d.evalOne(&rtm, inc, wall, SeedFor(cfg.Seed+driftSaltWindow, w, inc), 0)
+		sc := d.evalSerial(inc, wall, SeedFor(k.Seed+driftSaltWindow, w, inc))
 		if sc.err != nil {
 			return nil, sc.err
 		}
@@ -374,7 +357,7 @@ func RunDrift(ctx context.Context, cfg DriftConfig) (*DriftResult, error) {
 		retuned = false
 		if cfg.Oracle {
 			oc := oracleConfigs[configAt(oracleStarts, wall)]
-			osc := d.evalOne(&rtm, oc, wall, SeedFor(cfg.Seed+driftSaltOracle, w, oc), 0)
+			osc := d.evalSerial(oc, wall, SeedFor(k.Seed+driftSaltOracle, w, oc))
 			if osc.err != nil {
 				return nil, osc.err
 			}
@@ -541,8 +524,7 @@ func (d *driftRun) tune(ctx context.Context, inc *params.Assignment, t float64, 
 		// after the first inherit the score already measured (the prior
 		// round's incumbent or winning candidate).
 		if !incValid {
-			var rtm replay.Runtime
-			incSc = d.evalOne(&rtm, inc, t, SeedFor(d.cfg.Seed+driftSaltCand, round, inc), 0)
+			incSc = d.evalSerial(inc, t, SeedFor(d.k.Seed+driftSaltCand, round, inc))
 			if incSc.err != nil {
 				return nil, st, incSc.err
 			}
@@ -590,7 +572,7 @@ func (d *driftRun) tune(ctx context.Context, inc *params.Assignment, t float64, 
 // full). Mutations always move a dimension to a *different* value, so
 // no candidate wastes a replay re-measuring the incumbent's genome.
 func (d *driftRun) neighbors(inc *params.Assignment, round int, mask []bool) []*params.Assignment {
-	rng := rand.New(rand.NewSource(SeedFor(d.cfg.Seed+driftSaltMutate, round, inc)))
+	rng := rand.New(rand.NewSource(SeedFor(d.k.Seed+driftSaltMutate, round, inc)))
 	dims := make([]int, 0, len(d.cfg.Space))
 	for i := range d.cfg.Space {
 		if (mask == nil || mask[i]) && len(d.cfg.Space[i].Values) > 1 {
@@ -633,13 +615,13 @@ func (d *driftRun) neighbors(inc *params.Assignment, round int, mask []bool) []*
 
 // driftPruneBlock is the pruned-batch block size: the pruning floor is
 // raised to the best completed bandwidth after every block. A fixed
-// constant (never Parallelism) so block boundaries — and therefore
+// constant (never the worker count) so block boundaries — and therefore
 // which candidates get pruned, and all cost accounting — are identical
 // for any worker count.
 const driftPruneBlock = 2
 
-// evalBatch scores candidates concurrently and commits results by
-// index; the smallest-index error wins, as in Pool.EvaluateBatch. A
+// evalBatch scores candidates concurrently (ForEach) and commits results
+// by index; the smallest-index error wins, as in Pool.EvaluateBatch. A
 // positive floor prunes: candidates run in fixed-size blocks, and after
 // each block the floor rises to the best bandwidth completed so far —
 // the incumbent's is just the opening bid, so pruning bites even in
@@ -649,10 +631,6 @@ const driftPruneBlock = 2
 // can never be the round's argmax.
 func (d *driftRun) evalBatch(ctx context.Context, cands []*params.Assignment, t float64, round int, floor float64) ([]candScore, error) {
 	out := make([]candScore, len(cands))
-	seeds := make([]int64, len(cands))
-	for i, a := range cands {
-		seeds[i] = SeedFor(d.cfg.Seed+driftSaltCand, round, a)
-	}
 	block := len(cands)
 	if floor > 0 {
 		block = driftPruneBlock
@@ -662,13 +640,15 @@ func (d *driftRun) evalBatch(ctx context.Context, cands []*params.Assignment, t 
 		if hi > len(cands) {
 			hi = len(cands)
 		}
-		if err := d.evalSlice(ctx, cands[lo:hi], out[lo:hi], seeds[lo:hi], t, floor); err != nil {
+		err := ForEach(ctx, hi-lo, d.k.Workers, d.k.Gate, func(i int) error {
+			a := cands[lo+i]
+			out[lo+i] = d.evalOne(a, t, SeedFor(d.k.Seed+driftSaltCand, round, a), floor)
+			return out[lo+i].err
+		})
+		if err != nil {
 			return nil, err
 		}
 		for _, sc := range out[lo:hi] {
-			if sc.err != nil {
-				return nil, sc.err
-			}
 			if !sc.pruned && sc.perf > floor && floor > 0 {
 				floor = sc.perf
 			}
@@ -677,63 +657,34 @@ func (d *driftRun) evalBatch(ctx context.Context, cands []*params.Assignment, t 
 	return out, nil
 }
 
-// evalSlice runs one block of candidates under a fixed floor, filling
-// out by index.
-func (d *driftRun) evalSlice(ctx context.Context, cands []*params.Assignment, out []candScore, seeds []int64, t, floor float64) error {
-	workers := d.cfg.Parallelism
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		var rtm replay.Runtime
-		for i, a := range cands {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("tuner: drift evaluation canceled: %w", err)
-			}
-			out[i] = d.evalOne(&rtm, a, t, seeds[i], floor)
-		}
-		return nil
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var rtm replay.Runtime
-			for i := range idx {
-				out[i] = d.evalOne(&rtm, cands[i], t, seeds[i], floor)
-			}
-		}()
-	}
-feed:
-	for i := range cands {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("tuner: drift evaluation canceled: %w", err)
-	}
-	return nil
+// evalSerial scores one configuration at epoch t on the controller
+// goroutine — a service window or an incumbent — under a gate slot, as
+// every pooled evaluation is. It never holds the slot while waiting on a
+// pool.
+func (d *driftRun) evalSerial(a *params.Assignment, t float64, seed int64) candScore {
+	d.k.Gate.Enter()
+	defer d.k.Gate.Leave()
+	return d.evalOne(a, t, seed, 0)
 }
 
 // evalOne replays the candidate at epoch t, averaging bandwidth across
 // reps. A positive floor prunes: the replay aborts as soon as the
 // candidate's bandwidth upper bound falls below it (floor > 0 implies
-// Reps == 1, enforced at config validation).
-func (d *driftRun) evalOne(rtm *replay.Runtime, a *params.Assignment, t float64, seed int64, floor float64) candScore {
+// Reps == 1, enforced at config validation). The caller holds the gate
+// slot.
+func (d *driftRun) evalOne(a *params.Assignment, t float64, seed int64, floor float64) candScore {
 	s := a.Settings()
-	wp, err := d.wire.WireFor(a, s, d.ppn)
+	wp, err := d.wire.WireFor(a, s, d.k.Cluster.ProcsPerNode)
 	if err != nil {
 		return candScore{err: err}
 	}
+	rt, _ := d.rts.Get().(*replay.Runtime)
+	if rt == nil {
+		rt = &replay.Runtime{}
+	}
+	defer d.rts.Put(rt)
 	var total, perfSum float64
-	for r := 0; r < d.cfg.Reps; r++ {
+	for r := 0; r < d.k.Reps; r++ {
 		st, err := d.pool.Get(s, seed+int64(r)*7919)
 		if err != nil {
 			return candScore{err: err}
@@ -744,7 +695,7 @@ func (d *driftRun) evalOne(rtm *replay.Runtime, a *params.Assignment, t float64,
 			rep := st.Sim.Report
 			keep = func() bool { return d.perfBound(rep) >= floor }
 		}
-		err = rtm.ExecWhile(wp, st, keep)
+		err = rt.ExecWhile(wp, st, keep)
 		total += st.Sim.Now()
 		if err != nil {
 			d.pool.Put(st)
@@ -766,7 +717,7 @@ func (d *driftRun) evalOne(rtm *replay.Runtime, a *params.Assignment, t float64,
 		}
 		d.pool.Put(st)
 	}
-	return candScore{time: total, perf: perfSum / float64(d.cfg.Reps)}
+	return candScore{time: total, perf: perfSum / float64(d.k.Reps)}
 }
 
 // perfBound is the pruning bound: the objective (workload.Perf)
@@ -804,11 +755,11 @@ func (d *driftRun) perfBound(r *darshan.Report) float64 {
 func (d *driftRun) gaRetune(ctx context.Context, inc *params.Assignment, t float64) (*params.Assignment, tuneStats, error) {
 	round := d.round
 	d.round++
-	ev := &epochEvaluator{d: d, epoch: t, base: SeedFor(d.cfg.Seed+driftSaltGA, round, inc)}
+	ev := &epochEvaluator{d: d, epoch: t, base: SeedFor(d.k.Seed+driftSaltGA, round, inc)}
 	if d.memo == nil {
 		d.memo = NewMemo(nil)
 	}
-	d.memo.Inner = &Pool{Eval: ev, Workers: d.cfg.Parallelism}
+	d.memo.Inner = &Pool{Eval: ev, Workers: d.k.Workers, Gate: d.k.Gate}
 	d.memo.SetEpoch(t)
 	cfg := Config{
 		Space:         d.cfg.Space,
@@ -838,8 +789,7 @@ type epochEvaluator struct {
 }
 
 func (e *epochEvaluator) Evaluate(a *params.Assignment, iteration int) (float64, float64, error) {
-	var rtm replay.Runtime
-	sc := e.d.evalOne(&rtm, a, e.epoch, SeedFor(e.base, iteration, a), 0)
+	sc := e.d.evalOne(a, e.epoch, SeedFor(e.base, iteration, a), 0)
 	if sc.err != nil {
 		return 0, 0, sc.err
 	}

@@ -12,10 +12,12 @@ import (
 	"tunio/internal/workload"
 )
 
-// driftConfig records flash on a noiseless 2-node machine carrying the
-// given drift schedule and returns a ready controller config. WindowGap
-// spaces windows out so short replays still sweep the schedule.
-func driftConfig(t *testing.T, drift *cluster.Drift) DriftConfig {
+// driftConfig returns a ready controller config and its kernel: flash on
+// a noiseless 2-node machine carrying the given drift schedule, on one
+// worker. The kernel's store records flash once for every run sharing
+// it. WindowGap spaces windows out so short replays still sweep the
+// schedule.
+func driftConfig(t *testing.T, drift *cluster.Drift) (DriftConfig, Kernel) {
 	t.Helper()
 	c := cluster.CoriHaswell(2, 8)
 	c.Noise = 0
@@ -24,25 +26,18 @@ func driftConfig(t *testing.T, drift *cluster.Drift) DriftConfig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := workload.BuildStack(c, params.DefaultAssignment(params.Space()).Settings(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, err := replay.Record(w, st)
-	if err != nil {
-		t.Fatal(err)
+	k := Kernel{
+		Workload: w, Cluster: c, Seed: 42, Workers: 1,
+		Store: replay.NewKernelStore(), StoreKey: "flash",
 	}
 	return DriftConfig{
 		Space:      params.Space(),
-		Cluster:    c,
-		Trace:      trace,
-		Seed:       42,
 		Windows:    14,
 		WindowGap:  10,
 		Neighbors:  6,
 		Rounds:     2,
 		InitRounds: 3,
-	}
+	}, k
 }
 
 // degradedSchedule turns the machine hostile at t=25: half OST
@@ -53,9 +48,9 @@ func degradedSchedule() *cluster.Drift {
 	}}
 }
 
-func runDrift(t *testing.T, cfg DriftConfig) *DriftResult {
+func runDrift(t *testing.T, cfg DriftConfig, k Kernel) *DriftResult {
 	t.Helper()
-	res, err := RunDrift(context.Background(), cfg)
+	res, err := RunDrift(context.Background(), cfg, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +60,9 @@ func runDrift(t *testing.T, cfg DriftConfig) *DriftResult {
 // TestDriftStationaryNoRetune pins that a stationary noiseless machine
 // never triggers a re-tune: the incumbent's profile is flat.
 func TestDriftStationaryNoRetune(t *testing.T) {
-	cfg := driftConfig(t, nil)
+	cfg, k := driftConfig(t, nil)
 	cfg.Windows = 6
-	res := runDrift(t, cfg)
+	res := runDrift(t, cfg, k)
 	if len(res.Retunes) != 0 {
 		t.Fatalf("stationary run re-tuned: %+v", res.Retunes)
 	}
@@ -79,15 +74,15 @@ func TestDriftStationaryNoRetune(t *testing.T) {
 }
 
 // TestDriftWorkerCountIndependence pins the determinism contract: the
-// window curve and final incumbent are bit-identical at any
-// Parallelism.
+// window curve and final incumbent are bit-identical at any worker
+// count.
 func TestDriftWorkerCountIndependence(t *testing.T) {
-	cfg1 := driftConfig(t, degradedSchedule())
-	cfg1.Prune = true
-	cfg4 := cfg1
-	cfg4.Parallelism = 4
-	r1 := runDrift(t, cfg1)
-	r4 := runDrift(t, cfg4)
+	cfg, k1 := driftConfig(t, degradedSchedule())
+	cfg.Prune = true
+	k4 := k1
+	k4.Workers = 4
+	r1 := runDrift(t, cfg, k1)
+	r4 := runDrift(t, cfg, k4)
 	if !reflect.DeepEqual(r1.Windows, r4.Windows) {
 		t.Fatalf("window curves differ across worker counts:\n1: %+v\n4: %+v", r1.Windows, r4.Windows)
 	}
@@ -101,11 +96,11 @@ func TestDriftWorkerCountIndependence(t *testing.T) {
 // bit-identical curves, while pruning strictly reduces evaluated
 // simulated stage time.
 func TestDriftPruningBitIdentical(t *testing.T) {
-	plain := driftConfig(t, degradedSchedule())
+	plain, k := driftConfig(t, degradedSchedule())
 	pruned := plain
 	pruned.Prune = true
-	rp := runDrift(t, plain)
-	rq := runDrift(t, pruned)
+	rp := runDrift(t, plain, k)
+	rq := runDrift(t, pruned, k)
 	if !reflect.DeepEqual(rp.Windows, rq.Windows) {
 		t.Fatal("pruning changed the window curve")
 	}
@@ -127,12 +122,12 @@ func TestDriftPruningBitIdentical(t *testing.T) {
 // degradation regime and checks the controller notices, announces the
 // re-tune with a reason, and tracks the oracle afterwards.
 func TestDriftDetectsAndRecovers(t *testing.T) {
-	cfg := driftConfig(t, degradedSchedule())
+	cfg, k := driftConfig(t, degradedSchedule())
 	cfg.Prune = true
 	cfg.Oracle = true
 	var events []RetuneEvent
 	cfg.OnRetune = func(ev RetuneEvent) { events = append(events, ev) }
-	res := runDrift(t, cfg)
+	res := runDrift(t, cfg, k)
 
 	if len(res.Retunes) == 0 {
 		t.Fatal("controller never re-tuned through a 2x degradation")
@@ -174,12 +169,14 @@ func TestDriftDetectsAndRecovers(t *testing.T) {
 	}
 }
 
-// TestDriftGAModeRuns smoke-tests the warm-started GA re-tune path.
+// TestDriftGAModeRuns smoke-tests the warm-started GA re-tune path on
+// two workers.
 func TestDriftGAModeRuns(t *testing.T) {
-	cfg := driftConfig(t, degradedSchedule())
+	cfg, k := driftConfig(t, degradedSchedule())
 	cfg.Windows = 8
 	cfg.GA = &GARetune{PopSize: 6, Iterations: 2}
-	res := runDrift(t, cfg)
+	k.Workers = 2 // GA generations replay concurrently
+	res := runDrift(t, cfg, k)
 	if res.Final == nil || len(res.FinalGenome) == 0 {
 		t.Fatal("GA-mode run produced no final incumbent")
 	}

@@ -25,7 +25,7 @@ func TestTraceEvaluatorKernelHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &TraceEvaluator{Prog: prog, Cluster: c, Reps: 1, Seed: 3}
+	e := &TraceEvaluator{Kernel: Kernel{Prog: prog, Cluster: c, Reps: 1, Seed: 3}}
 	if e.KernelHash() != "" {
 		t.Errorf("kernel hash %q before recording, want empty", e.KernelHash())
 	}
@@ -54,7 +54,7 @@ func TestTraceEvaluatorWorkloadKernelHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	shrinkWorkload(w)
-	e := &TraceEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 3}
+	e := &TraceEvaluator{Kernel: Kernel{Workload: w, Cluster: c, Reps: 1, Seed: 3}}
 	if err := e.Prepare(params.Space()); err != nil {
 		t.Fatalf("prepare: %v", err)
 	}

@@ -1,13 +1,8 @@
 package tuner
 
 import (
-	"fmt"
 	"sync"
 
-	"tunio/internal/analysis"
-	"tunio/internal/cinterp"
-	"tunio/internal/cluster"
-	"tunio/internal/csrc"
 	"tunio/internal/params"
 	"tunio/internal/replay"
 	"tunio/internal/workload"
@@ -25,30 +20,10 @@ import (
 // Safe for concurrent use: workers share the stage cache and recycle
 // stacks and runtimes through pools.
 type TraceEvaluator struct {
-	// Workload or Prog selects the kernel; exactly one must be set.
-	Workload workload.Workload
-	Prog     *csrc.File
-
-	Cluster *cluster.Cluster
-	Reps    int   // default 3
-	Seed    int64 // base seed
-
-	// Shared, when non-nil, is a (typically process-global) multi-kernel
-	// stage cache shared with other evaluators: stage artifacts are read
-	// and written under this kernel's content hash, so sessions tuning
-	// the same kernel hit each other's plans. When nil the evaluator owns
-	// a fresh cache. Either way Stats() reports this evaluator's private
-	// view, not cache-wide traffic. Artifacts are pure functions of
-	// (trace, projected parameters), so sharing never changes scores.
-	Shared *replay.StageCache
-	// Store, when non-nil, is a content-addressed kernel store consulted
-	// under StoreKey before recording: on a hit the stored trace (and its
-	// kernel hash) is adopted and the kernel never runs; after a
-	// recording the trace is published for later sessions. StoreKey must
-	// identify the kernel's content — a workload name + process count, or
-	// a hash of the submitted source — never anything seed-dependent.
-	Store    *replay.KernelStore
-	StoreKey string
+	// Kernel is the kernel to score and its shared state (Stages, Store,
+	// StoreKey; see Kernel.Trace). Reps defaults to 3; Gate and Workers
+	// are the pool's business and unused here.
+	Kernel Kernel
 
 	once     sync.Once
 	recErr   error
@@ -56,78 +31,21 @@ type TraceEvaluator struct {
 	stacks   *workload.StackPool
 	rts      sync.Pool // *replay.Runtime
 	kernKey  string    // signature- or trace-derived kernel content hash
-	storeHit bool      // trace served from Store instead of recorded
+	storeHit bool      // trace served from Kernel.Store instead of recorded
 }
 
-// record runs the kernel once under the default configuration and builds
-// the stage cache. Any failure (interpreter error, unsupported construct)
-// is sticky: every Evaluate call reports it, so a FallbackEvaluator
-// wrapping this one reverts permanently.
+// record gets the kernel's trace (Kernel.Trace). Any failure (interpreter
+// error, unsupported construct, signature mismatch) is sticky: every
+// Evaluate call reports it, so a FallbackEvaluator wrapping this one
+// reverts permanently.
 func (e *TraceEvaluator) record(space []params.Parameter) {
-	if e.Store != nil && e.StoreKey != "" {
-		if ent, ok := e.Store.Get(e.StoreKey); ok {
-			e.kernKey = ent.KernelHash
-			e.storeHit = true
-			e.installCache(ent.Trace)
-			return
-		}
-	}
-	defaults := params.DefaultAssignment(space).Settings()
-	st, err := workload.BuildStack(e.Cluster, defaults, e.Seed)
+	kt, err := e.Kernel.Trace(space)
 	if err != nil {
 		e.recErr = err
 		return
 	}
-	var t *replay.Trace
-	switch {
-	case e.Prog != nil:
-		t, err = replay.RecordFunc(st, func(st *workload.Stack) error {
-			_, err := cinterp.Run(e.Prog, st.Lib)
-			return err
-		})
-	case e.Workload != nil:
-		t, err = replay.Record(e.Workload, st)
-	default:
-		err = fmt.Errorf("tuner: TraceEvaluator needs a Workload or a Prog")
-	}
-	if err != nil {
-		e.recErr = fmt.Errorf("tuner: trace recording: %w", err)
-		return
-	}
-	e.kernKey = replay.TraceKey(t)
-	if e.Prog != nil {
-		// Cross-validate the recorded trace against the kernel's static I/O
-		// signature. An exact signature that disagrees with the trace means
-		// the tracer, the interpreter, or the signature walker is wrong —
-		// refuse to tune on top of the inconsistency.
-		sig := analysis.ComputeSignature(e.Prog, analysis.SignatureOptions{})
-		if sig.Exact {
-			cs, cerr := sig.Concrete(map[string]int64{"nprocs": int64(t.Nprocs)})
-			if cerr == nil {
-				if verr := replay.CrossValidate(t, cs); verr != nil {
-					e.recErr = fmt.Errorf("tuner: signature/trace mismatch: %w", verr)
-					return
-				}
-			}
-			e.kernKey = "sig:" + sig.Hash()
-		}
-	}
-	if e.Store != nil && e.StoreKey != "" {
-		e.Store.Put(e.StoreKey, replay.KernelEntry{Trace: t, KernelHash: e.kernKey})
-	}
-	e.installCache(t)
-}
-
-// installCache binds the evaluator to a view on its stage cache: the
-// injected shared cache, otherwise a private one.
-func (e *TraceEvaluator) installCache(t *replay.Trace) {
-	c := e.Shared
-	if c == nil {
-		c = replay.NewSharedStageCache()
-	}
-	c.Register(e.kernKey, t)
-	e.view = c.View(e.kernKey)
-	e.stacks = workload.NewStackPool(e.Cluster)
+	e.view, e.kernKey, e.storeHit = kt.View, kt.Hash, kt.StoreHit
+	e.stacks = workload.NewStackPool(e.Kernel.Cluster)
 }
 
 // Prepare records the trace eagerly (Evaluate does it lazily on first
@@ -142,7 +60,7 @@ func (e *TraceEvaluator) Prepare(space []params.Parameter) error {
 func (e *TraceEvaluator) KernelHash() string { return e.kernKey }
 
 // StoreHit reports whether the trace was served from the injected
-// KernelStore instead of being recorded by this evaluator.
+// Kernel.Store instead of being recorded by this evaluator.
 func (e *TraceEvaluator) StoreHit() bool { return e.storeHit }
 
 // Stats returns the evaluator's stage-cache counters — its own hit rate
@@ -161,13 +79,14 @@ func (e *TraceEvaluator) Evaluate(a *params.Assignment, iteration int) (float64,
 	if e.recErr != nil {
 		return 0, 0, e.recErr
 	}
-	reps := e.Reps
+	k := &e.Kernel
+	reps := k.Reps
 	if reps == 0 {
 		reps = 3
 	}
-	base := SeedFor(e.Seed, iteration, a)
+	base := SeedFor(k.Seed, iteration, a)
 	s := a.Settings()
-	wp, err := e.view.WireFor(a, s, e.Cluster.ProcsPerNode)
+	wp, err := e.view.WireFor(a, s, k.Cluster.ProcsPerNode)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -190,7 +109,7 @@ func (e *TraceEvaluator) Evaluate(a *params.Assignment, iteration int) (float64,
 			return 0, 0, err
 		}
 		perf, _ := workload.Perf(st.Sim.Report)
-		if e.Prog != nil {
+		if k.Prog != nil {
 			perfSum += perf
 			minutes += st.Sim.Now() / 60
 		} else {
@@ -199,7 +118,7 @@ func (e *TraceEvaluator) Evaluate(a *params.Assignment, iteration int) (float64,
 		}
 		e.stacks.Put(st)
 	}
-	if e.Prog != nil {
+	if k.Prog != nil {
 		return perfSum / float64(reps), minutes, nil
 	}
 	return perfSum, runtime / 60, nil

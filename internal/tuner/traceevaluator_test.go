@@ -106,7 +106,7 @@ func TestTraceEvaluatorMatchesSeededWorkloadEvaluator(t *testing.T) {
 		}
 		shrinkWorkload(w)
 		direct := &SeededWorkloadEvaluator{Workload: w, Cluster: c, Reps: 3, Seed: 5}
-		traced := &TraceEvaluator{Workload: w, Cluster: c, Reps: 3, Seed: 5}
+		traced := &TraceEvaluator{Kernel: Kernel{Workload: w, Cluster: c, Reps: 3, Seed: 5}}
 
 		assignments := []*params.Assignment{params.DefaultAssignment(params.Space())}
 		for i, pairs := range []map[string]int{
@@ -155,7 +155,7 @@ func TestTraceEvaluatorRecordingFailureFallsBack(t *testing.T) {
 	}
 	calls := 0
 	fb := &FallbackEvaluator{
-		Primary: &TraceEvaluator{Prog: prog, Cluster: c, Reps: 1, Seed: 1},
+		Primary: &TraceEvaluator{Kernel: Kernel{Prog: prog, Cluster: c, Reps: 1, Seed: 1}},
 		Fallback: FuncEvaluator(func(a *params.Assignment, _ int) (float64, float64, error) {
 			calls++
 			return 42, 1, nil

@@ -30,8 +30,10 @@ echo "== go test -race (evaluation engine) =="
 # The batch evaluation engine's concurrency and staged-replay equivalence
 # tests always run under the race detector, even when a narrower package
 # pattern was requested: the stage cache and stack pool are shared across
-# workers, so the bit-identity proofs must hold concurrently too.
-go test -race -run 'TestPool|TestMemo|TestSeedFor|TestRunBatch|TestRunKernel|TestTune(ParallelDeterminism|Cancellation|Memoization)|TestTraceEvaluator|TestGate|TestEngineCrossSessionSharing|TestEngineRejectsNegativeCounts' ./internal/tuner .
+# workers, so the bit-identity proofs must hold concurrently too. The
+# drift controller, the training sweep and online sessions fan out on the
+# same worker loop and gate, so their tests run here as well.
+go test -race -run 'TestPool|TestMemo|TestSeedFor|TestRunBatch|TestRunKernel|TestTune(ParallelDeterminism|Cancellation|Memoization)|TestTraceEvaluator|TestGate|TestEngineCrossSessionSharing|TestEngineRejectsNegativeCounts|TestDrift|TestReplaySweep|TestEngineOnline|TestEngineSessionPanic' ./internal/tuner ./internal/train .
 go test -race -run 'TestStagedExec|TestLayoutReuse|TestStageCache|TestSharedStageCache|TestKernelStore|TestPooledStack' ./internal/replay
 go test -race ./internal/cowmap
 
